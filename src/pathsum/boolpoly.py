@@ -113,9 +113,6 @@ class BoolPoly:
     def __hash__(self):
         return hash(self.monomials)
 
-    def is_constant(self) -> bool:
-        return self.vars_mask == 0
-
     def degree(self) -> int:
         """Largest monomial degree; -1 for the zero polynomial."""
         if not self.monomials:

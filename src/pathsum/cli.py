@@ -32,14 +32,26 @@ EXIT_CONFLUENCE = 5
 ENV_MAX_EVAL_VARS = "PATHSUM_MAX_EVAL_VARS"
 
 
+def _eval_guard(text: str) -> int:
+    """An evaluation guard value: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _default_max_eval_vars() -> int:
     raw = os.environ.get(ENV_MAX_EVAL_VARS)
     if raw is None:
         return DEFAULT_MAX_EVAL_VARS
     try:
-        return int(raw)
-    except ValueError:
-        _fail(f"{ENV_MAX_EVAL_VARS} must be an integer, got {raw!r}")
+        return _eval_guard(raw)
+    except argparse.ArgumentTypeError as exc:
+        _fail(f"{ENV_MAX_EVAL_VARS} {exc}")
 
 
 def _read_circuit(path: str):
@@ -108,27 +120,25 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _parse_g_spec(text: str, half: int):
+def _parse_g_spec(text: str):
     monomials = set()
-    if text.strip():
-        for chunk in text.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                idx = tuple(sorted(int(t) for t in chunk.split(",")))
-            except ValueError:
-                _fail(f"bad monomial {chunk!r} in --g (expected e.g. 0,1,2)")
-            monomials.add(idx)
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            idx = tuple(sorted(int(t) for t in chunk.split(",")))
+        except ValueError:
+            _fail(f"bad monomial {chunk!r} in --g (expected e.g. 0,1,2)")
+        monomials.add(idx)
     return frozenset(monomials)
 
 
 def cmd_hidden_shift_gen(args) -> int:
     if args.n < 2 or args.n % 2:
         _fail(f"--n must be even and at least 2, got {args.n}")
-    half = args.n // 2
     shift = _bits(args.shift, args.n, "--shift")
-    monomials = _parse_g_spec(args.g, half)
+    monomials = _parse_g_spec(args.g)
     pi = None
     if args.pi is not None:
         try:
@@ -237,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if circuit:
             p.add_argument("--circuit", required=True, help="circuit text file")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--max-eval-vars", type=int, default=defmax,
+        p.add_argument("--max-eval-vars", type=_eval_guard, default=defmax,
                        dest="max_eval_vars",
                        help=f"dense-evaluation guard (default {defmax})")
 
@@ -284,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vars", type=int, default=8, dest="max_vars")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--max-eval-vars", type=int, default=defmax,
+    p.add_argument("--max-eval-vars", type=_eval_guard, default=defmax,
                    dest="max_eval_vars")
     p.set_defaults(func=cmd_check_confluence)
 
@@ -292,8 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT

@@ -11,6 +11,7 @@ interpretation, and dense exact evaluation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -26,15 +27,17 @@ Bits = Union[str, Sequence[int]]
 
 
 class EvalGuardError(RuntimeError):
-    """The normal form kept too many variables for dense evaluation."""
+    """The sum has too many variables, or too many wires, to evaluate densely."""
 
-    def __init__(self, num_vars: int, max_vars: int):
+    def __init__(self, num_vars: int, max_vars: int, wires: int = 0):
+        size = (f"{wires} wires (inputs plus outputs)" if wires
+                else f"{num_vars} summation variables")
         super().__init__(
-            f"evaluation guard: {num_vars} summation variables exceed the "
-            f"limit of {max_vars}; dense evaluation would take 2^{num_vars} steps"
-        )
+            f"evaluation guard: {size} exceed the limit of {max_vars}; "
+            f"dense evaluation would take 2^{wires or num_vars} steps")
         self.num_vars = num_vars
         self.max_vars = max_vars
+        self.wires = wires
 
 
 def as_bits(bits: Bits) -> tuple[int, ...]:
@@ -72,14 +75,6 @@ class PathSum:
             raise ValueError(
                 f"variable index {bad[0]} out of range for {self.num_vars} variables"
             )
-
-    @property
-    def n_inputs(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def n_outputs(self) -> int:
-        return len(self.outputs)
 
     @property
     def signature(self) -> tuple[int, int]:
@@ -267,11 +262,14 @@ class Matrix:
 
 
 def evaluate(a: PathSum, max_vars: int = DEFAULT_MAX_EVAL_VARS) -> Matrix:
-    """Dense exact evaluation over all 2^num_vars assignments."""
+    """Dense exact evaluation over all 2^num_vars assignments; the guard
+    also bounds the wire count, which sizes the 2^outputs x 2^inputs table."""
     k = a.num_vars
+    m, n = len(a.outputs), len(a.inputs)
     if k > max_vars:
         raise EvalGuardError(k, max_vars)
-    m, n = len(a.outputs), len(a.inputs)
+    if m + n > max_vars:
+        raise EvalGuardError(k, max_vars, wires=m + n)
     rows, cols = 1 << m, 1 << n
     if a.scalar.zero:
         return Matrix.zeros(rows, cols)
@@ -327,42 +325,34 @@ def gate_sem(gate: Gate) -> PathSum:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _layer(gate: Gate, n: int) -> PathSum:
-    """gate_sem placed on its wires, tensored with identity elsewhere.
-
-    The gate's own variables come first (as in gate_sem), then one fresh
-    variable per untouched wire; the output/input tuples are routed to
-    wire positions, which is the tensor-with-identities layer up to wire
-    order.
-    """
-    sem = gate_sem(gate)
-    arity = len(gate.qubits)
-    wire_out: dict[int, BoolPoly] = {}
-    wire_in: dict[int, BoolPoly] = {}
-    for pos, q in enumerate(gate.qubits):
-        wire_out[q] = sem.outputs[pos]
-        wire_in[q] = sem.inputs[pos]
-    nxt = sem.num_vars
-    for q in range(n):
-        if q not in wire_in:
-            v = BoolPoly.var(nxt)
-            nxt += 1
-            wire_in[q] = v
-            wire_out[q] = v
-    outputs = tuple(wire_out[q] for q in range(n))
-    inputs = tuple(wire_in[q] for q in range(n))
-    return PathSum(sem.scalar, nxt, sem.phase, outputs, inputs)
-
-
 def interpret(circuit: Circuit) -> PathSum:
-    """Fold the gate path sums over the circuit, composing layer by layer."""
-    acc: PathSum | None = None
+    """Direct per-wire interpretation (Amy, QPL 2018).
+
+    Wire q starts as input variable x_q.  H adds one fresh variable y
+    with phase term y*out[q] and makes y the wire's output; X adds 1 to
+    out[q]; C^(m)Z adds the product of its wires' outputs to the phase;
+    SWAP exchanges two outputs.  The result has exactly n + #H variables
+    and scalar 2^(-#H/2).
+    """
+    n = circuit.num_qubits
+    inputs = tuple(BoolPoly.var(q) for q in range(n))
+    out = list(inputs)
+    phase: set[int] = set()
+    k = n
     for gate in circuit.gates:
-        layer = _layer(gate, circuit.num_qubits)
-        acc = layer if acc is None else compose(layer, acc)
-    if acc is None:
-        return identity(circuit.num_qubits)
-    return acc
+        qs = gate.qubits
+        if gate.kind == H:
+            phase ^= {(1 << k) | mm for mm in out[qs[0]].monomials}
+            out[qs[0]] = BoolPoly.var(k)
+            k += 1
+        elif gate.kind == X:
+            out[qs[0]] += BoolPoly.one()
+        elif gate.kind == CMZ:
+            phase ^= math.prod((out[q] for q in qs), start=BoolPoly.one()).monomials
+        else:  # SWAP
+            out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
+    return PathSum(Scalar.pow2(n - k), k, BoolPoly(frozenset(phase)),
+                   tuple(out), inputs)
 
 
 # ---------------------------------------------------------------------------

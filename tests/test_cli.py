@@ -81,6 +81,25 @@ class TestAmp:
         assert r.returncode == 2
         assert "PATHSUM_MAX_EVAL_VARS" in r.stderr
 
+    def test_negative_guard_flag_exits_2(self, h_circuit):
+        r = run("amp", "--circuit", h_circuit, "--in", "0", "--out", "0",
+                "--max-eval-vars", "-1")
+        assert r.returncode == 2
+        assert "--max-eval-vars" in r.stderr and "nonnegative" in r.stderr
+
+    def test_negative_guard_env_var_exits_2(self, h_circuit):
+        r = run("amp", "--circuit", h_circuit, "--in", "0", "--out", "0",
+                env_extra={"PATHSUM_MAX_EVAL_VARS": "-3"})
+        assert r.returncode == 2
+        assert "PATHSUM_MAX_EVAL_VARS" in r.stderr and "nonnegative" in r.stderr
+
+    def test_negative_guard_in_process_returns_2(self, h_circuit, monkeypatch):
+        from pathsum.cli import main
+        argv = ["amp", "--circuit", h_circuit, "--in", "0", "--out", "0"]
+        assert main(argv + ["--max-eval-vars", "-1"]) == 2
+        monkeypatch.setenv("PATHSUM_MAX_EVAL_VARS", "-1")
+        assert main(argv) == 2
+
     def test_env_var_guard(self, tmp_path):
         path = tmp_path / "deep.pathsum"
         lines = ["qubits 3"]
@@ -194,10 +213,12 @@ class TestNormalize:
     def test_trace_reproducible(self, tmp_path):
         out = str(tmp_path / "hs.pathsum")
         run("hidden-shift-gen", "--n", "4", "--shift", "1010", "-o", out)
-        r1 = run("normalize", "--circuit", out, "--strategy", "random",
-                 "--seed", "5", "--trace", "--json")
-        r2 = run("normalize", "--circuit", out, "--strategy", "random",
-                 "--seed", "5", "--trace", "--json")
+        # the open unitary's direct interpretation has no redex; the
+        # state on |0000> does, so the trace is non-empty
+        r1 = run("normalize", "--circuit", out, "--in", "0000",
+                 "--strategy", "random", "--seed", "5", "--trace", "--json")
+        r2 = run("normalize", "--circuit", out, "--in", "0000",
+                 "--strategy", "random", "--seed", "5", "--trace", "--json")
         assert r1.stdout == r2.stdout
         trace = json.loads(r1.stdout)["trace"]
         assert trace and all(

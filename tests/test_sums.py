@@ -15,6 +15,7 @@ from pathsum.circuit import Circuit, Gate, random_circuit
 from pathsum.exact import Amplitude, Scalar
 from pathsum.fuzz import random_path_sum
 from pathsum.oracle import statevector_oracle
+from pathsum.rewrite import DETERMINISTIC_FIRST, normalize
 from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix,
                           PathSum, adjoint, apply_simple_transform, bra,
                           compose, evaluate, from_dict, from_json, gate_sem,
@@ -155,6 +156,13 @@ class TestEvaluate:
             evaluate(s, max_vars=2)
         assert err.value.num_vars == 3 and err.value.max_vars == 2
 
+    def test_wire_guard(self):
+        # 40 wires would need a 2^40-entry table; refused before allocating
+        with pytest.raises(EvalGuardError) as err:
+            evaluate(ket((0,) * 40))
+        assert err.value.wires == 40 and err.value.num_vars == 0
+        assert "40 wires" in str(err.value)
+
     def test_guard_default(self):
         assert DEFAULT_MAX_EVAL_VARS == 24
 
@@ -214,13 +222,38 @@ class TestInterpret:
         m = evaluate(interpret(c))
         assert m[1, 0].is_one() and m[0, 1].is_one()
 
+    def test_matches_one_gate_fold(self):
+        # the layer-by-layer composition interpret used to perform
+        rng = random.Random(31)
+        for i in range(40):
+            n = rng.randint(1, 5)
+            c = random_circuit(n, rng.randint(1, 12),
+                               max_controls=min(2, n - 1), seed=i + 300)
+            fold = identity(n)
+            for g in c.gates:
+                fold = compose(interpret(Circuit(n, (g,))), fold)
+            direct, _ = normalize(interpret(c), DETERMINISTIC_FIRST)
+            folded, _ = normalize(fold, DETERMINISTIC_FIRST)
+            assert evaluate(direct, 20) == evaluate(folded, 20), i
+
+    def test_single_gate_matches_gate_sem(self):
+        for gate in (Gate("h", (0,)), Gate("x", (0,)), Gate("z", (0,)),
+                     Gate("z", (0, 1)), Gate("z", (0, 1, 2)),
+                     Gate("swap", (0, 1))):
+            c = Circuit(len(gate.qubits), (gate,))
+            assert evaluate(interpret(c)) == evaluate(gate_sem(gate)), gate
+
     def test_variable_count_bound(self):
+        # exactly one variable per wire and one per H, scalar 2^(-#H/2)
         rng = random.Random(29)
         for i in range(40):
             n = rng.randint(1, 6)
             k = rng.randint(1, 25)
             c = random_circuit(n, k, max_controls=min(2, n - 1), seed=i)
-            assert interpret(c).num_vars <= 3 * k + 2 * n * k
+            hs = sum(1 for g in c.gates if g.kind == "h")
+            s = interpret(c)
+            assert s.num_vars == n + hs
+            assert s.scalar == Scalar.pow2(-hs)
 
 
 class TestSimpleTransform:
