@@ -22,7 +22,7 @@ from .sim import (NonDeterministicOutcomeError, Probability, ShiftResult,
 from .sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix, PathSum,
                    adjoint, apply_simple_transform, bra, compose, evaluate,
                    from_dict, from_json, gate_sem, identity, interpret, ket,
-                   make, tensor, to_dict, to_json, zero_op)
+                   tensor, to_dict, to_json, zero_op)
 
 __all__ = [
     "Amplitude", "BoolPoly", "Circuit", "CircuitParseError",
@@ -32,10 +32,9 @@ __all__ = [
     "SimulationConsistencyError", "StaleStepError", "Strategy", "VarCapError",
     "Volume", "adjoint", "apply", "apply_simple_transform", "bra", "compose",
     "evaluate", "find_rewrites", "from_dict", "from_json", "gate_sem",
-    "hidden_shift_circuit", "identity", "interpret", "ket", "make",
-    "marginal_one", "measure_sim", "normalize", "parse", "projector_one",
-    "random_circuit", "random_hidden_shift_spec", "recover_shift",
-    "seeded_random", "serialize", "simply_equivalent", "statevector_oracle",
-    "strong_sim", "tensor", "to_dict", "to_json", "trace_lines", "volume",
-    "zero_op",
+    "hidden_shift_circuit", "identity", "interpret", "ket", "marginal_one",
+    "measure_sim", "normalize", "parse", "projector_one", "random_circuit",
+    "random_hidden_shift_spec", "recover_shift", "seeded_random",
+    "serialize", "simply_equivalent", "statevector_oracle", "strong_sim",
+    "tensor", "to_dict", "to_json", "trace_lines", "volume", "zero_op",
 ]

@@ -22,6 +22,10 @@ _KINDS = (H, X, CMZ, SWAP)
 #: largest number of controls on a C^(m)Z accepted by default (CCZ)
 DEFAULT_MAX_CONTROLS = 2
 
+#: largest ``qubits N`` header ``parse`` accepts; interpretation allocates
+#: a polynomial per wire, so the header alone must not size the work
+MAX_QUBITS = 4096
+
 
 class CircuitParseError(ValueError):
     """Structured parse failure carrying a 1-based line and column."""
@@ -117,6 +121,10 @@ def parse(text: str, max_controls: int = DEFAULT_MAX_CONTROLS) -> Circuit:
             num_qubits = _int_token(tokens[1], lineno, raw)
             if num_qubits < 0:
                 raise CircuitParseError("negative qubit count", lineno, col)
+            if num_qubits > MAX_QUBITS:
+                raise CircuitParseError(
+                    f"{num_qubits} qubits exceed the maximum of {MAX_QUBITS}",
+                    lineno, col)
             continue
         arity_alias = {"cz": 2, "ccz": 3}
         if head in arity_alias:

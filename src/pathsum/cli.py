@@ -32,8 +32,8 @@ EXIT_CONFLUENCE = 5
 ENV_MAX_EVAL_VARS = "PATHSUM_MAX_EVAL_VARS"
 
 
-def _eval_guard(text: str) -> int:
-    """An evaluation guard value: a nonnegative integer."""
+def _nonnegative(text: str) -> int:
+    """A count or guard option value: a nonnegative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -49,7 +49,7 @@ def _default_max_eval_vars() -> int:
     if raw is None:
         return DEFAULT_MAX_EVAL_VARS
     try:
-        return _eval_guard(raw)
+        return _nonnegative(raw)
     except argparse.ArgumentTypeError as exc:
         _fail(f"{ENV_MAX_EVAL_VARS} {exc}")
 
@@ -92,10 +92,7 @@ def cmd_amp(args) -> int:
     circ = _read_circuit(args.circuit)
     x = _bits(args.in_bits, circ.num_qubits, "--in")
     y = _bits(args.out_bits, circ.num_qubits, "--out")
-    try:
-        amp = strong_sim(circ, x, y, max_eval_vars=args.max_eval_vars)
-    except EvalGuardError as exc:
-        _fail(str(exc), EXIT_GUARD)
+    amp = strong_sim(circ, x, y, max_eval_vars=args.max_eval_vars)
     _emit(args,
           [f"amplitude: {amp.render()}", f"decimal: {amp.decimal()}"],
           {"amplitude": {"num": amp.num, "half_exp": amp.half_exp},
@@ -108,10 +105,7 @@ def cmd_measure(args) -> int:
     x = _bits(args.in_bits, circ.num_qubits, "--in")
     if not 0 <= args.qubit < circ.num_qubits:
         _fail(f"--qubit {args.qubit} out of range for {circ.num_qubits} qubits")
-    try:
-        prob = measure_sim(circ, x, args.qubit, max_eval_vars=args.max_eval_vars)
-    except EvalGuardError as exc:
-        _fail(str(exc), EXIT_GUARD)
+    prob = measure_sim(circ, x, args.qubit, max_eval_vars=args.max_eval_vars)
     amp = prob.exact
     _emit(args,
           [f"probability: {amp.render()}", f"decimal: {amp.decimal()}"],
@@ -165,12 +159,7 @@ def cmd_hidden_shift_gen(args) -> int:
 
 def cmd_hidden_shift_solve(args) -> int:
     circ = _read_circuit(args.circuit)
-    try:
-        result = recover_shift(circ, max_eval_vars=args.max_eval_vars)
-    except EvalGuardError as exc:
-        _fail(str(exc), EXIT_GUARD)
-    except NonDeterministicOutcomeError as exc:
-        _fail(str(exc), EXIT_NONDETERMINISTIC)
+    result = recover_shift(circ, max_eval_vars=args.max_eval_vars)
     _emit(args,
           [f"shift: {result.shift_string()}",
            f"rewrite steps: {result.rewrite_steps_total}"],
@@ -247,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if circuit:
             p.add_argument("--circuit", required=True, help="circuit text file")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--max-eval-vars", type=_eval_guard, default=defmax,
+        p.add_argument("--max-eval-vars", type=_nonnegative, default=defmax,
                        dest="max_eval_vars",
                        help=f"dense-evaluation guard (default {defmax})")
 
@@ -290,11 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-confluence",
                        help="fuzz normal-form uniqueness up to simple equivalence")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-vars", type=int, default=8, dest="max_vars")
+    p.add_argument("--trials", type=_nonnegative, default=100)
+    p.add_argument("--max-vars", type=_nonnegative, default=8, dest="max_vars")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--max-eval-vars", type=_eval_guard, default=defmax,
+    p.add_argument("--max-eval-vars", type=_nonnegative, default=defmax,
                    dest="max_eval_vars")
     p.set_defaults(func=cmd_check_confluence)
 
@@ -307,6 +296,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except (EvalGuardError, NonDeterministicOutcomeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return (EXIT_GUARD if isinstance(exc, EvalGuardError)
+                else EXIT_NONDETERMINISTIC)
     except BrokenPipeError:
         return EXIT_OK
 

@@ -185,7 +185,3 @@ class Amplitude:
 
     def __str__(self):
         return self.render()
-
-
-AMP_ZERO = Amplitude(0)
-AMP_ONE = Amplitude(1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
@@ -213,33 +214,6 @@ def apply(a: PathSum, step: RewriteStep) -> PathSum:
 # ---------------------------------------------------------------------------
 # normalization
 
-class _Fenwick:
-    """Prefix counts of alive variables, for stable-to-dense index ranks."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-        for i in range(1, size + 1):
-            self.tree[i] = i & -i  # all-ones initialization
-
-    def remove(self, index: int):
-        i = index + 1
-        while i <= self.size:
-            self.tree[i] -= 1
-            i += i & -i
-
-    def rank(self, index: int) -> int:
-        """Alive variables strictly below ``index``."""
-        s = 0
-        i = index
-        while i > 0:
-            s += self.tree[i]
-            i -= i & -i
-        return s
-
-
 def normalize(a: PathSum, strategy: Strategy = DETERMINISTIC_FIRST
               ) -> tuple[PathSum, list[RewriteStep]]:
     """Rewrite to a normal form; returns it with the step trace.
@@ -285,7 +259,7 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
                 oipos[b].add((idx, m))
 
     alive = [True] * k0
-    fen = _Fenwick(k0)
+    ranks = list(range(k0))  # alive variables, ascending: index = dense rank
     heap_e = list(range(k0))
     heap_z = list(range(k0))
     heap_h = list(range(k0))
@@ -328,12 +302,16 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
                 oipos[b].add((idx, m))
                 touch(b)
 
+    def drop(v: int):
+        alive[v] = False
+        del ranks[bisect_left(ranks, v)]
+
     def dense_poly(masks) -> BoolPoly:
         out = set()
         for m in masks:
             nm = 0
             for b in mask_bits(m):
-                nm |= 1 << fen.rank(b)
+                nm |= 1 << bisect_left(ranks, b)
             out.add(nm)
         return BoolPoly(frozenset(out))
 
@@ -345,10 +323,9 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
         while heap_e:
             x = heappop(heap_e)
             if alive[x] and not pocc[x] and not oipos[x]:
-                trace.append(RewriteStep(Rule.ELIM, fen.rank(x)))
+                trace.append(RewriteStep(Rule.ELIM, bisect_left(ranks, x)))
                 scalar = scalar.doubled()
-                alive[x] = False
-                fen.remove(x)
+                drop(x)
                 applied = True
                 break
         if applied:
@@ -357,7 +334,7 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
         while heap_z:
             x = heappop(heap_z)
             if alive[x] and not oipos[x] and pocc[x] == {1 << x}:
-                trace.append(RewriteStep(Rule.Z, fen.rank(x)))
+                trace.append(RewriteStep(Rule.Z, bisect_left(ranks, x)))
                 return zero_op(n_in, n_out), trace
 
         hh = None
@@ -376,8 +353,8 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
         y = targets[0]
         ybit = 1 << y
         q_masks = [mm for mm in lmasks if mm != ybit]
-        trace.append(RewriteStep(
-            Rule.HH, fen.rank(x), fen.rank(y), dense_poly(q_masks)))
+        trace.append(RewriteStep(Rule.HH, bisect_left(ranks, x),
+                                 bisect_left(ranks, y), dense_poly(q_masks)))
         for m in list(pocc[x]):       # drop the pivot's monomials (x * L)
             phase_remove(m)
         for m in list(pocc[y]):       # substitute y <- Q in the phase
@@ -390,11 +367,10 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
             base = m ^ ybit
             for qm in q_masks:
                 oi_toggle(idx, base | qm)
-        alive[x] = False
-        fen.remove(x)
+        drop(x)
         touch(y)
 
-    new_k = sum(alive)
+    new_k = len(ranks)
     result = PathSum(
         scalar, new_k, dense_poly(phase),
         tuple(dense_poly(oi[i]) for i in range(n_out)),

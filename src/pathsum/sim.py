@@ -14,8 +14,8 @@ from .boolpoly import BoolPoly
 from .circuit import Circuit
 from .exact import Amplitude, Scalar
 from .rewrite import DETERMINISTIC_FIRST, normalize
-from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, adjoint, bra, compose,
-                   evaluate, identity, interpret, ket, tensor, as_bits)
+from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, adjoint, as_bits, bra,
+                   compose, evaluate, interpret, ket)
 
 
 class NonDeterministicOutcomeError(RuntimeError):
@@ -63,23 +63,35 @@ class ShiftResult:
         return "".join(map(str, self.shift))
 
 
-_KETBRA_ONE = PathSum(Scalar.ONE, 0, BoolPoly.zero(),
-                      (BoolPoly.one(),), (BoolPoly.one(),))
-
-
 def projector_one(n: int, qubit: int) -> PathSum:
-    """|1><1| on one wire, identity on the others."""
+    """|1><1| on one wire, identity on the other n - 1 (one variable each)."""
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} wires")
-    return tensor(tensor(identity(qubit), _KETBRA_ONE),
-                  identity(n - qubit - 1))
+    wires = [BoolPoly.var(i) for i in range(n - 1)]
+    wires.insert(qubit, BoolPoly.one())
+    return PathSum(Scalar.ONE, n - 1, BoolPoly.zero(), tuple(wires), tuple(wires))
 
 
-def _probability_from(amp: Amplitude) -> Probability:
+def _probability_one(gn: PathSum, qubit: int,
+                     max_eval_vars: int) -> tuple[Probability, int]:
+    """Pr[qubit = 1] in the normalized state sum gn, and the steps taken.
+
+    A state with no variables left is scalar*|b>, so the probability is
+    scalar^2 * b_qubit; otherwise the projector sandwich <gn|P|gn> is
+    normalized and evaluated under the guard.
+    """
+    if gn.num_vars == 0:  # each output is the constant 0 or 1
+        bit = len(gn.outputs[qubit].monomials)
+        amp, trace = Amplitude.from_count(bit, gn.scalar * gn.scalar), []
+    else:
+        f = compose(adjoint(gn),
+                    compose(projector_one(len(gn.outputs), qubit), gn))
+        nf, trace = normalize(f, DETERMINISTIC_FIRST)
+        amp = evaluate(nf, max_eval_vars)[0, 0]
     if amp.num < 0 or Amplitude(1) < amp:
         raise SimulationConsistencyError(
             f"probability {amp.render()} outside [0, 1]")
-    return Probability(amp)
+    return Probability(amp), len(trace)
 
 
 def strong_sim(circuit: Circuit, in_bits, out_bits,
@@ -105,37 +117,28 @@ def measure_sim(circuit: Circuit, in_bits, qubit: int,
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     g = compose(interpret(circuit), ket(x))
-    f = compose(adjoint(g), compose(projector_one(n, qubit), g))
-    nf, _ = normalize(f, DETERMINISTIC_FIRST)
-    amp = evaluate(nf, max_eval_vars)[0, 0]
-    return _probability_from(amp)
+    gn, _ = normalize(g, DETERMINISTIC_FIRST)
+    return _probability_one(gn, qubit, max_eval_vars)[0]
 
 
 def recover_shift(circuit: Circuit,
                   max_eval_vars: int = DEFAULT_MAX_EVAL_VARS) -> ShiftResult:
     """Read off the hidden shift: bit i is 1 iff qubit i measures 1 surely.
 
-    The state sum [circuit]|0...0> is normalized once and shared by the n
-    projector sandwiches; rewrites commute with composition, so each
-    per-qubit value equals what measure_sim computes on its own, at a
-    fraction of the steps.
+    The state sum [circuit]|0...0> is normalized once.  On a hidden-shift
+    instance it collapses to |s> with no variables left, and the shift is
+    read off its outputs; a state that keeps variables falls back to one
+    projector sandwich per qubit.
     """
     n = circuit.num_qubits
     g = compose(interpret(circuit), ket((0,) * n))
     gn, gtrace = normalize(g, DETERMINISTIC_FIRST)
     steps = len(gtrace)
-    shift = []
     probs = []
     for i in range(n):
-        f = compose(adjoint(gn), compose(projector_one(n, i), gn))
-        nf, tr = normalize(f, DETERMINISTIC_FIRST)
-        steps += len(tr)
-        prob = _probability_from(evaluate(nf, max_eval_vars)[0, 0])
-        probs.append(prob)
-        if prob.is_one():
-            shift.append(1)
-        elif prob.is_zero():
-            shift.append(0)
-        else:
+        prob, taken = _probability_one(gn, i, max_eval_vars)
+        if not (prob.is_one() or prob.is_zero()):
             raise NonDeterministicOutcomeError(i, prob)
-    return ShiftResult(tuple(shift), tuple(probs), steps)
+        steps += taken
+        probs.append(prob)
+    return ShiftResult(tuple(int(p.is_one()) for p in probs), tuple(probs), steps)

@@ -89,12 +89,6 @@ class PathSum:
                 f"(-1)^({self.phase}) |{outs}><{ins}|)")
 
 
-def make(scalar: Scalar, num_vars: int, phase: BoolPoly,
-         outputs: Sequence[BoolPoly], inputs: Sequence[BoolPoly]) -> PathSum:
-    """Validated construction (range checks live in PathSum itself)."""
-    return PathSum(scalar, num_vars, phase, tuple(outputs), tuple(inputs))
-
-
 def identity(n: int) -> PathSum:
     if n < 0:
         raise ValueError("negative wire count")
@@ -369,11 +363,19 @@ def to_dict(a: PathSum) -> dict:
     }
 
 
+def _typed(value, kind: type, what: str):
+    """The value itself if its type is exactly ``kind`` (so True is no int)."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def from_dict(data: Mapping) -> PathSum:
     try:
         sc = data["scalar"]
-        scalar = Scalar(bool(sc["zero"]), int(sc["half_exp"]))
-        num_vars = int(data["num_vars"])
+        scalar = Scalar(_typed(sc["zero"], bool, "zero"),
+                        _typed(sc["half_exp"], int, "half_exp"))
+        num_vars = _typed(data["num_vars"], int, "num_vars")
         phase = BoolPoly.from_lists(data["phase"])
         outputs = tuple(BoolPoly.from_lists(p) for p in data["outputs"])
         inputs = tuple(BoolPoly.from_lists(p) for p in data["inputs"])

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from pathsum.circuit import (Circuit, CircuitParseError, Gate, HiddenShiftSpec,
-                             hidden_shift_circuit, parse, random_circuit,
+from pathsum.circuit import (MAX_QUBITS, Circuit, CircuitParseError, Gate,
+                             HiddenShiftSpec, hidden_shift_circuit, parse,
+                             random_circuit,
                              random_hidden_shift_spec, serialize, volume)
 from pathsum.oracle import statevector_oracle
 
@@ -73,6 +74,13 @@ class TestParse:
             parse("qubits 4\nz 0 1 2 3\n")
         c = parse("qubits 4\nz 0 1 2 3\n", max_controls=3)
         assert c.gates[0].controls() == 3
+
+    def test_qubit_cap(self):
+        assert parse(f"qubits {MAX_QUBITS}\n").num_qubits == MAX_QUBITS
+        with pytest.raises(CircuitParseError, match="maximum"):
+            parse(f"qubits {MAX_QUBITS + 1}\n")
+        with pytest.raises(CircuitParseError, match="maximum"):
+            parse("qubits 3000000000\nh 0\n")
 
     def test_totality_on_junk(self):
         rng = random.Random(31)

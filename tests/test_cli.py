@@ -173,6 +173,13 @@ class TestHiddenShift:
         r = run("hidden-shift-solve", "--circuit", h_circuit)
         assert r.returncode == 4
 
+    def test_oversized_header_exits_2(self, tmp_path):
+        path = tmp_path / "huge.pathsum"
+        path.write_text("qubits 3000000000\nh 0\n")
+        r = run("hidden-shift-solve", "--circuit", str(path))
+        assert r.returncode == 2
+        assert "maximum" in r.stderr
+
     def test_sixteen_qubit_instance_with_eight_ccz(self, tmp_path):
         out = str(tmp_path / "big.pathsum")
         shift = "1011000111001010"
@@ -183,12 +190,12 @@ class TestHiddenShift:
         assert r2.returncode == 0
         data = json.loads(r2.stdout)
         assert data["shift"] == shift
-        # the step counter stays within the state sum's variable budget
+        # the state collapses, so only its own normalization takes steps
         from pathsum.circuit import parse
         from pathsum.sums import compose, interpret, ket
         circ = parse(open(out).read())
         g = compose(interpret(circ), ket((0,) * 16))
-        assert data["rewrite_steps"] <= 16 * (2 * g.num_vars + 3 * 16)
+        assert data["rewrite_steps"] <= g.num_vars
 
 
 class TestNormalize:
@@ -243,6 +250,18 @@ class TestCheckConfluence:
         a = run("check-confluence", "--trials", "10", "--seed", "9", "--json")
         b = run("check-confluence", "--trials", "10", "--seed", "9", "--json")
         assert a.stdout == b.stdout
+
+    def test_guard_trip_exits_3(self):
+        r = run("check-confluence", "--trials", "20", "--max-vars", "1",
+                "--max-eval-vars", "2", "--seed", "1")
+        assert r.returncode == 3
+        assert "evaluation guard" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("flag", ["--trials", "--max-vars"])
+    def test_negative_count_exits_2(self, flag):
+        r = run("check-confluence", flag, "-3")
+        assert r.returncode == 2
+        assert flag in r.stderr and "nonnegative" in r.stderr
 
     def test_five_hundred_trials(self):
         r = run("check-confluence", "--trials", "500", "--max-vars", "8",

@@ -7,13 +7,15 @@ import pytest
 from pathsum.circuit import (Circuit, Gate, HiddenShiftSpec,
                              hidden_shift_circuit, random_circuit,
                              random_hidden_shift_spec)
-from pathsum.exact import Amplitude
+from pathsum.boolpoly import BoolPoly
+from pathsum.exact import Amplitude, Scalar
 from pathsum.oracle import marginal_one, statevector_oracle
 from pathsum.rewrite import normalize
 from pathsum.sim import (NonDeterministicOutcomeError, Probability,
                          measure_sim, projector_one, recover_shift,
                          strong_sim)
-from pathsum.sums import (EvalGuardError, compose, evaluate, interpret, ket)
+from pathsum.sums import (EvalGuardError, PathSum, adjoint, compose, evaluate,
+                          identity, interpret, ket, tensor)
 
 
 def bits_to_index(bits):
@@ -103,6 +105,15 @@ class TestMeasureSim:
             expect = Amplitude(1) if i >> 1 & 1 else Amplitude(0)
             assert m[i, i] == expect
 
+    def test_projector_matches_tensor_construction(self):
+        ketbra_one = PathSum(Scalar.ONE, 0, BoolPoly.zero(),
+                             (BoolPoly.one(),), (BoolPoly.one(),))
+        for n in range(1, 6):
+            for q in range(n):
+                built = tensor(tensor(identity(q), ketbra_one),
+                               identity(n - q - 1))
+                assert projector_one(n, q) == built, (n, q)
+
 
 class TestRecoverShift:
     def test_two_qubit_instance(self):
@@ -151,9 +162,25 @@ class TestRecoverShift:
             spec = random_hidden_shift_spec(n, rng)
             c = hidden_shift_circuit(spec)
             g = compose(interpret(c), ket((0,) * n))
-            sandwich_vars = 2 * g.num_vars + (n - 1) + 2 * n
             res = recover_shift(c)
-            assert res.rewrite_steps_total <= n * sandwich_vars
+            # the state collapses, so no per-qubit sandwich adds steps
+            assert res.rewrite_steps_total <= g.num_vars
+
+    def test_readout_matches_explicit_sandwich(self):
+        rng = random.Random(95)
+        for n in (2, 4, 6, 8):
+            spec = random_hidden_shift_spec(n, rng)
+            c = hidden_shift_circuit(spec)
+            gn, _ = normalize(compose(interpret(c), ket((0,) * n)))
+            assert gn.num_vars == 0
+            res = recover_shift(c)
+            vec = statevector_oracle(c, (0,) * n)
+            for i in range(n):
+                f = compose(adjoint(gn), compose(projector_one(n, i), gn))
+                nf, _ = normalize(f)
+                sandwich = evaluate(nf)[0, 0]
+                assert res.per_qubit_probability[i].exact == sandwich, (n, i)
+                assert sandwich == marginal_one(vec, n, i), (n, i)
 
     def test_full_reduction_of_state_sum(self):
         rng = random.Random(94)

@@ -19,7 +19,7 @@ from pathsum.rewrite import DETERMINISTIC_FIRST, normalize
 from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix,
                           PathSum, adjoint, apply_simple_transform, bra,
                           compose, evaluate, from_dict, from_json, gate_sem,
-                          identity, interpret, ket, make, tensor, to_dict,
+                          identity, interpret, ket, tensor, to_dict,
                           to_json, zero_op)
 
 x0, x1 = BoolPoly.var(0), BoolPoly.var(1)
@@ -34,16 +34,16 @@ def bits_to_index(bits):
 
 class TestMake:
     def test_constant_ket_one(self):
-        s = make(Scalar.ONE, 0, BoolPoly.zero(), [BoolPoly.one()], [])
+        s = PathSum(Scalar.ONE, 0, BoolPoly.zero(), [BoolPoly.one()], [])
         assert evaluate(s).column(0) == [Amplitude(0), Amplitude(1)]
 
     def test_hadamard_tuple(self):
-        s = make(Scalar.pow2(-1), 2, x0 * x1, [x1], [x0])
+        s = PathSum(Scalar.pow2(-1), 2, x0 * x1, [x1], [x0])
         assert s == gate_sem(Gate("h", (0,)))
 
     def test_out_of_range_variable(self):
         with pytest.raises(ValueError, match="out of range"):
-            make(Scalar.ONE, 2, BoolPoly.var(5), [], [])
+            PathSum(Scalar.ONE, 2, BoolPoly.var(5), [], [])
 
 
 class TestIdentityZero:
@@ -329,4 +329,17 @@ class TestJson:
         with pytest.raises(ValueError):
             from_dict({"scalar": {"zero": False, "half_exp": 0},
                        "num_vars": 0, "phase": [[0, 0]],
+                       "outputs": [], "inputs": []})
+
+    @pytest.mark.parametrize("scalar, num_vars", [
+        ({"zero": False, "half_exp": 1.5}, 0),
+        ({"zero": False, "half_exp": True}, 0),
+        ({"zero": False, "half_exp": "1"}, 0),
+        ({"zero": 0, "half_exp": 0}, 0),
+        ({"zero": False, "half_exp": 0}, True),
+        ({"zero": False, "half_exp": 0}, 1.0),
+    ])
+    def test_rejects_mistyped_numbers(self, scalar, num_vars):
+        with pytest.raises(ValueError, match="must be"):
+            from_dict({"scalar": scalar, "num_vars": num_vars, "phase": [],
                        "outputs": [], "inputs": []})
