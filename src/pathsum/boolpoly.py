@@ -236,15 +236,20 @@ class BoolPoly:
         return terms
 
     @classmethod
-    def from_lists(cls, data: Iterable[Iterable[int]]) -> "BoolPoly":
-        """Parse the list form strictly: sorted indices, no duplicates."""
+    def from_lists(cls, data: Iterable[Iterable[int]],
+                   num_vars: int | None = None) -> "BoolPoly":
+        """Parse the list form strictly: sorted indices, no duplicates,
+        each index an int (not a bool) below ``num_vars`` when given."""
         masks = set()
         for term in data:
             idx = list(term)
-            if any(not isinstance(v, int) or v < 0 for v in idx):
+            if any(type(v) is not int or v < 0 for v in idx):
                 raise ValueError(f"bad variable index in monomial {idx}")
             if idx != sorted(set(idx)):
                 raise ValueError(f"monomial {idx} is not strictly increasing")
+            if num_vars is not None and idx and idx[-1] >= num_vars:
+                raise ValueError(f"variable index {idx[-1]} out of range "
+                                 f"for {num_vars} variables")
             m = 0
             for v in idx:
                 m |= 1 << v

@@ -247,6 +247,13 @@ class TestStructure:
             BoolPoly.from_lists([[0], [0]])
         with pytest.raises(ValueError):
             BoolPoly.from_lists([[0, 0]])
+        with pytest.raises(ValueError, match="bad variable index"):
+            BoolPoly.from_lists([[False, True]])
+
+    def test_list_form_bound(self):
+        assert BoolPoly.from_lists([[0, 2]], num_vars=3) == x * z
+        with pytest.raises(ValueError, match="index 3 out of range"):
+            BoolPoly.from_lists([[0], [1, 3]], num_vars=3)
 
     def test_str(self):
         assert str(zero) == "0"

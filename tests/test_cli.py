@@ -1,17 +1,23 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pathsum
+
 PYTHON = sys.executable
+#: the child imports the same package as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(pathsum.__file__))
 
 
 def run(*args, env_extra=None):
-    import os
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([PYTHON, "-m", "pathsum", *args],

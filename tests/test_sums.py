@@ -7,13 +7,16 @@ circuit interpretation is checked against the dense oracle.
 
 import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import Circuit, Gate, random_circuit
 from pathsum.exact import Amplitude, Scalar
-from pathsum.fuzz import random_path_sum
+from pathsum.fuzz import random_path_sum, random_path_sum_from_circuit
 from pathsum.oracle import statevector_oracle
 from pathsum.rewrite import DETERMINISTIC_FIRST, normalize
 from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix,
@@ -30,6 +33,33 @@ def bits_to_index(bits):
     for b in bits:
         idx = (idx << 1) | b
     return idx
+
+
+def per_point_evaluate(a):
+    """The one-assignment-at-a-time loop ``evaluate`` used to run: the
+    reference its bit-parallel form must equal exactly."""
+    rows, cols = 1 << len(a.outputs), 1 << len(a.inputs)
+    if a.scalar.zero:
+        return Matrix.zeros(rows, cols)
+    counts = [[0] * cols for _ in range(rows)]
+    for point in range(1 << a.num_vars):
+        r = bits_to_index(p.eval_mask(point) for p in a.outputs)
+        c = bits_to_index(p.eval_mask(point) for p in a.inputs)
+        counts[r][c] += -1 if a.phase.eval_mask(point) else 1
+    return Matrix(rows, cols, [[Amplitude.from_count(counts[r][c], a.scalar)
+                                for c in range(cols)] for r in range(rows)])
+
+
+@st.composite
+def path_sums(draw, max_vars=7):
+    """Small sums with up to 3 in and 3 out wires; shrinks termwise."""
+    k = draw(st.integers(0, max_vars))
+    term = st.lists(st.integers(0, k - 1), max_size=3) if k else st.just([])
+    poly = lambda size: st.lists(term, max_size=size).map(
+        lambda terms: BoolPoly.of(*terms))
+    return PathSum(Scalar.pow2(draw(st.integers(-4, 4))), k, draw(poly(8)),
+                   draw(st.lists(poly(2), max_size=3)),
+                   draw(st.lists(poly(2), max_size=3)))
 
 
 class TestMake:
@@ -165,6 +195,47 @@ class TestEvaluate:
 
     def test_guard_default(self):
         assert DEFAULT_MAX_EVAL_VARS == 24
+
+    def test_matches_per_point_loop_on_fuzz_sums(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            a = random_path_sum(rng, max_vars=8, max_wires=3)
+            assert evaluate(a) == per_point_evaluate(a), a
+
+    def test_matches_per_point_loop_on_circuit_sums(self):
+        rng = random.Random(99)
+        done = 0
+        while done < 150:
+            a = random_path_sum_from_circuit(rng)
+            if a.num_vars > 12:
+                continue
+            nf, _ = normalize(a)
+            assert evaluate(a) == per_point_evaluate(a), a
+            assert evaluate(nf) == per_point_evaluate(nf), nf
+            done += 1
+
+    def test_matches_per_point_loop_on_interpreted_circuits(self):
+        rng = random.Random(31)
+        for seed in range(60):
+            n = rng.randint(1, 5)
+            a = interpret(random_circuit(n, rng.randint(1, 10),
+                                         max_controls=min(2, n - 1), seed=seed))
+            if a.num_vars <= 14:
+                assert evaluate(a) == per_point_evaluate(a), a
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_sums())
+    def test_matches_per_point_loop_property(self, a):
+        assert evaluate(a) == per_point_evaluate(a)
+
+    def test_inner_product_bent_closed_form(self):
+        # sum over x, y in F_2^10 of (-1)^(x.y): only x = 0 survives, 2^10;
+        # adding x_0 + y_0 moves the survivor to x = e_0 with sign -1
+        ip = BoolPoly.of(*((i, 10 + i) for i in range(10)))
+        closed = PathSum(Scalar.ONE, 20, ip, (), ())
+        assert evaluate(closed)[0, 0] == Amplitude(2 ** 10)
+        tilted = PathSum(Scalar.ONE, 20, ip + BoolPoly.of((0,), (10,)), (), ())
+        assert evaluate(tilted)[0, 0] == Amplitude(-2 ** 10)
 
 
 class TestGateSem:
@@ -343,3 +414,24 @@ class TestJson:
         with pytest.raises(ValueError, match="must be"):
             from_dict({"scalar": scalar, "num_vars": num_vars, "phase": [],
                        "outputs": [], "inputs": []})
+
+    def test_rejects_bool_index(self):
+        with pytest.raises(ValueError, match="bad variable index"):
+            from_dict({"scalar": {"zero": False, "half_exp": 0},
+                       "num_vars": 2, "phase": [[True]],
+                       "outputs": [], "inputs": []})
+
+    @pytest.mark.parametrize("where", ["phase", "outputs", "inputs"])
+    def test_rejects_huge_index_before_allocating(self, where):
+        for index in (10 ** 8, 10 ** 10):  # a regression fails at 10**8 first
+            data = {"scalar": {"zero": False, "half_exp": 0}, "num_vars": 1,
+                    "phase": [], "outputs": [], "inputs": []}
+            data[where] = [[index]] if where == "phase" else [[[index]]]
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="out of range"):
+                    from_dict(data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20  # 1 << 10**8 alone would take 12.5 MB
