@@ -171,24 +171,12 @@ class BoolPoly:
     def apply_simple_map(self, phi: Mapping[int, tuple[int, int]]) -> "BoolPoly":
         """Rename variables, optionally negating: v -> x_w or x_w + 1."""
         targets = []
-        negated = False
         for v in mask_bits(self.vars_mask):
             if v not in phi:
                 raise ValueError(f"map does not cover variable {v}")
-            w, neg = phi[v]
-            targets.append(w)
-            negated = negated or bool(neg)
+            targets.append(phi[v][0])
         if len(set(targets)) != len(targets):
             raise ValueError("map is not injective on the variables present")
-        if not negated:
-            table = {v: 1 << phi[v][0] for v in mask_bits(self.vars_mask)}
-            out = set()
-            for m in self.monomials:
-                nm = 0
-                for v in mask_bits(m):
-                    nm |= table[v]
-                out.add(nm)
-            return BoolPoly(frozenset(out))
         acc: set[int] = set()
         for m in self.monomials:
             fixed = 0

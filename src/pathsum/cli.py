@@ -17,8 +17,8 @@ import sys
 from . import fuzz
 from .circuit import (CircuitParseError, HiddenShiftSpec, hidden_shift_circuit,
                       parse, serialize)
-from .rewrite import (DETERMINISTIC_FIRST, VarCapError, normalize,
-                      seeded_random, simply_equivalent, trace_lines)
+from .rewrite import (DETERMINISTIC_FIRST, normalize, seeded_random,
+                      simply_equivalent, trace_lines)
 from .sim import NonDeterministicOutcomeError, measure_sim, recover_shift, strong_sim
 from .sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, compose, evaluate,
                    interpret, ket, to_dict)
@@ -201,12 +201,9 @@ def cmd_check_confluence(args) -> int:
         a = fuzz.random_path_sum_from_circuit(rng)
         det, _ = normalize(a, DETERMINISTIC_FIRST)
         rnd, _ = normalize(a, seeded_random(rng.getrandbits(32)))
-        try:
-            if det.num_vars <= exact_cap and rnd.num_vars <= exact_cap:
-                ok = simply_equivalent(det, rnd, var_cap=exact_cap)
-            else:
-                raise VarCapError("fall back to evaluation")
-        except VarCapError:
+        if det.num_vars <= exact_cap and rnd.num_vars <= exact_cap:
+            ok = simply_equivalent(det, rnd, var_cap=exact_cap)
+        else:
             eval_fallbacks += 1
             ok = (evaluate(det, args.max_eval_vars).entries
                   == evaluate(rnd, args.max_eval_vars).entries)
@@ -230,15 +227,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pathsum",
         description="Exact sum-over-paths simulation of Toffoli-Hadamard circuits")
     sub = top.add_subparsers(dest="command", required=True)
-    defmax = _default_max_eval_vars()
 
     def common(p, circuit=True):
         if circuit:
             p.add_argument("--circuit", required=True, help="circuit text file")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--max-eval-vars", type=_nonnegative, default=defmax,
+        p.add_argument("--max-eval-vars", type=_nonnegative, default=None,
                        dest="max_eval_vars",
-                       help=f"dense-evaluation guard (default {defmax})")
+                       help=f"dense-evaluation guard (default: "
+                            f"${ENV_MAX_EVAL_VARS}, else {DEFAULT_MAX_EVAL_VARS})")
 
     p = sub.add_parser("amp", help="exact amplitude <out|C|in>")
     common(p)
@@ -282,9 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_nonnegative, default=100)
     p.add_argument("--max-vars", type=_nonnegative, default=8, dest="max_vars")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--max-eval-vars", type=_nonnegative, default=defmax,
-                   dest="max_eval_vars")
+    common(p, circuit=False)
     p.set_defaults(func=cmd_check_confluence)
 
     return top
@@ -293,6 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # only the subcommands with a guard read the environment
+        if getattr(args, "max_eval_vars", 0) is None:
+            args.max_eval_vars = _default_max_eval_vars()
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT

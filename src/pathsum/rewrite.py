@@ -12,9 +12,16 @@ rewrite sequence terminates within the initial variable count:
           y is substituted by Q everywhere (y itself stays behind,
           unused, for a following ELIM to collect).
 
-``normalize`` with the deterministic strategy repeatedly applies the
-first step of ``find_rewrites``; an index of per-variable occurrences
-keeps that loop near-linear instead of rescanning the sum each step.
+The preconditions are written once, in ``_rule_at``: given the phase
+monomials that mention a variable and whether it sits on a wire, it
+names the one rule the variable admits, as a rank (ELIM 0, Z 1, HH 2),
+with the HH targets and the cofactor.  ``find_rewrites`` and ``apply``
+are the executable spec built on it.  ``normalize`` with the
+deterministic strategy takes the first step of ``find_rewrites`` each
+time, but keeps an index of per-variable occurrences and one heap of
+(rank lower bound, variable) entries instead of rescanning the sum:
+a variable's ``_rule_at`` is memoized until an edit touches it, and
+the first popped entry whose rank is exact is the step to take.
 """
 
 from __future__ import annotations
@@ -34,9 +41,6 @@ class Rule(enum.Enum):
     ELIM = "ELIM"
     Z = "Z"
     HH = "HH"
-
-
-_RULE_RANK = {Rule.ELIM: 0, Rule.Z: 1, Rule.HH: 2}
 
 
 class StaleStepError(ValueError):
@@ -100,17 +104,31 @@ def trace_lines(trace: list[RewriteStep]) -> list[str]:
 # ---------------------------------------------------------------------------
 # detection
 
-def _hh_candidates(occ_masks, pivot: int):
-    """Targets and cofactor masks if the pivot admits an HH step.
+_RULES = (Rule.ELIM, Rule.Z, Rule.HH)  # indexed by rank
+_ELIM_AT = (0, (), ())
+_Z_AT = (1, (), ())
 
-    Returns (sorted bare targets, cofactor-monomial masks) or None.  The
-    cofactor must be a sum of bare variables (at most two distinct) and
-    possibly the constant 1, with at least one bare variable present.
+
+def _rule_at(x: int, occ, on_wire):
+    """The one rule variable x admits, as (rank, HH targets, cofactor masks).
+
+    ``occ`` holds the phase monomials that mention x and ``on_wire`` is
+    true when x occurs in an output or input polynomial.  The rank indexes
+    ``_RULES``.  For HH the targets are the bare cofactor variables,
+    ascending, and the masks are the cofactor's monomials: the cofactor
+    must be a sum of at most two bare variables and possibly the constant
+    1.  ELIM and Z carry no targets.  Returns None when no rule applies.
     """
-    xbit = 1 << pivot
+    if not occ:
+        return None if on_wire else _ELIM_AT
+    if on_wire:
+        return None
+    xbit = 1 << x
+    if len(occ) == 1 and xbit in occ:
+        return _Z_AT
     lmasks = []
     bare = []
-    for m in occ_masks:
+    for m in occ:
         r = m ^ xbit
         if r.bit_count() > 1:
             return None
@@ -119,7 +137,8 @@ def _hh_candidates(occ_masks, pivot: int):
             bare.append(r.bit_length() - 1)
     if not bare or len(bare) > 2:
         return None
-    return sorted(bare), lmasks
+    bare.sort()
+    return 2, bare, lmasks
 
 
 def find_rewrites(a: PathSum) -> list[RewriteStep]:
@@ -137,29 +156,19 @@ def find_rewrites(a: PathSum) -> list[RewriteStep]:
     for p in a.inputs:
         oi_mask |= p.vars_mask
 
-    elims: list[RewriteStep] = []
-    zs: list[RewriteStep] = []
-    hhs: list[RewriteStep] = []
+    found: tuple[list[RewriteStep], ...] = ([], [], [])
     for x in range(k):
-        occ = pocc[x]
-        if not occ:
-            if not oi_mask >> x & 1:
-                elims.append(RewriteStep(Rule.ELIM, x))
+        rule = _rule_at(x, pocc[x], oi_mask >> x & 1)
+        if rule is None:
             continue
-        if oi_mask >> x & 1:
+        rank, targets, lmasks = rule
+        if rank < 2:
+            found[rank].append(RewriteStep(_RULES[rank], x))
             continue
-        if occ == {1 << x}:
-            zs.append(RewriteStep(Rule.Z, x))
-            continue
-        cand = _hh_candidates(occ, x)
-        if cand is None:
-            continue
-        targets, lmasks = cand
         lset = frozenset(lmasks)
         for y in targets:
-            q = BoolPoly(lset - {1 << y})
-            hhs.append(RewriteStep(Rule.HH, x, y, q))
-    return elims + zs + hhs
+            found[2].append(RewriteStep(Rule.HH, x, y, BoolPoly(lset - {1 << y})))
+    return found[0] + found[1] + found[2]
 
 
 # ---------------------------------------------------------------------------
@@ -172,36 +181,25 @@ def apply(a: PathSum, step: RewriteStep) -> PathSum:
     if not 0 <= x < k:
         raise StaleStepError(f"pivot {x} out of range")
     xbit = 1 << x
-    oi_mask = 0
-    for p in a.outputs:
-        oi_mask |= p.vars_mask
-    for p in a.inputs:
-        oi_mask |= p.vars_mask
+    on_wire = any(p.vars_mask & xbit for p in (*a.outputs, *a.inputs))
     occ = {m for m in a.phase.monomials if m & xbit}
+    rule = _rule_at(x, occ, on_wire)
+    if rule is None or _RULES[rule[0]] is not step.rule:
+        raise StaleStepError(f"{step.rule.value} does not apply at variable {x}")
 
     if step.rule is Rule.ELIM:
-        if occ or oi_mask & xbit:
-            raise StaleStepError(f"variable {x} still occurs")
         return PathSum(a.scalar.doubled(), k - 1, a.phase.squeezed(x),
                        tuple(p.squeezed(x) for p in a.outputs),
                        tuple(p.squeezed(x) for p in a.inputs))
 
     if step.rule is Rule.Z:
-        if oi_mask & xbit or occ != {xbit}:
-            raise StaleStepError(f"variable {x} is not a lone linear phase term")
         return zero_op(len(a.inputs), len(a.outputs))
 
-    if oi_mask & xbit or not occ:
-        raise StaleStepError(f"pivot {x} does not satisfy the HH precondition")
-    cand = _hh_candidates(occ, x)
-    if cand is None:
-        raise StaleStepError(f"pivot {x} does not satisfy the HH precondition")
-    targets, lmasks = cand
+    _, targets, lmasks = rule
     y = step.target
     if y not in targets:
         raise StaleStepError(f"target {y} is not a bare cofactor variable")
-    expected_q = frozenset(lmasks) - {1 << y}
-    if step.substituent.monomials != expected_q:
+    if step.substituent.monomials != frozenset(lmasks) - {1 << y}:
         raise StaleStepError("substituent does not match the cofactor")
     rest = BoolPoly(frozenset(m for m in a.phase.monomials if not m & xbit))
     q = step.substituent
@@ -239,6 +237,9 @@ def normalize(a: PathSum, strategy: Strategy = DETERMINISTIC_FIRST
             raise RuntimeError("rewrite count exceeded the variable count")
 
 
+_STALE = object()  # memo value of a touched variable
+
+
 def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
     k0 = a.num_vars
     if k0 == 0:
@@ -260,51 +261,40 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
 
     alive = [True] * k0
     ranks = list(range(k0))  # alive variables, ascending: index = dense rank
-    heap_e = list(range(k0))
-    heap_z = list(range(k0))
-    heap_h = list(range(k0))
+    memo = [_STALE] * k0     # _rule_at of each variable since its last touch
+    heap = [(0, v) for v in range(k0)]  # (rank lower bound, variable)
     scalar = a.scalar
     trace: list[RewriteStep] = []
 
     def touch(v: int):
-        if alive[v]:
-            heappush(heap_e, v)
-            heappush(heap_z, v)
-            heappush(heap_h, v)
-
-    def phase_remove(m: int):
-        phase.remove(m)
-        for b in mask_bits(m):
-            pocc[b].remove(m)
-            touch(b)
+        if alive[v] and memo[v] is not _STALE:
+            memo[v] = _STALE
+            heappush(heap, (0, v))
 
     def phase_toggle(m: int):
         if m in phase:
-            phase_remove(m)
+            phase.remove(m)
+            for b in mask_bits(m):
+                pocc[b].remove(m)
+                touch(b)
         else:
             phase.add(m)
             for b in mask_bits(m):
                 pocc[b].add(m)
                 touch(b)
 
-    def oi_remove(idx: int, m: int):
-        oi[idx].remove(m)
-        for b in mask_bits(m):
-            oipos[b].remove((idx, m))
-            touch(b)
-
     def oi_toggle(idx: int, m: int):
-        if m in oi[idx]:
-            oi_remove(idx, m)
+        poly = oi[idx]
+        if m in poly:
+            poly.remove(m)
+            for b in mask_bits(m):
+                oipos[b].remove((idx, m))
+                touch(b)
         else:
-            oi[idx].add(m)
+            poly.add(m)
             for b in mask_bits(m):
                 oipos[b].add((idx, m))
                 touch(b)
-
-    def drop(v: int):
-        alive[v] = False
-        del ranks[bisect_left(ranks, v)]
 
     def dense_poly(masks) -> BoolPoly:
         out = set()
@@ -315,64 +305,56 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
             out.add(nm)
         return BoolPoly(frozenset(out))
 
-    while True:
-        if len(trace) > k0:
-            raise RuntimeError("rewrite count exceeded the variable count")
-
-        applied = False
-        while heap_e:
-            x = heappop(heap_e)
-            if alive[x] and not pocc[x] and not oipos[x]:
-                trace.append(RewriteStep(Rule.ELIM, bisect_left(ranks, x)))
-                scalar = scalar.doubled()
-                drop(x)
-                applied = True
-                break
-        if applied:
+    # Every alive variable that admits a rule keeps an entry at or below
+    # its rank, so the first popped entry whose rank is exact is the
+    # least (rank, variable): the first step of find_rewrites.
+    while heap:
+        bound, x = heappop(heap)
+        if not alive[x]:
             continue
-
-        while heap_z:
-            x = heappop(heap_z)
-            if alive[x] and not oipos[x] and pocc[x] == {1 << x}:
-                trace.append(RewriteStep(Rule.Z, bisect_left(ranks, x)))
-                return zero_op(n_in, n_out), trace
-
-        hh = None
-        while heap_h:
-            x = heappop(heap_h)
-            if not alive[x] or oipos[x] or not pocc[x]:
-                continue
-            cand = _hh_candidates(pocc[x], x)
-            if cand is not None:
-                hh = (x, cand)
-                break
-        if hh is None:
-            break
-
-        x, (targets, lmasks) = hh
-        y = targets[0]
-        ybit = 1 << y
-        q_masks = [mm for mm in lmasks if mm != ybit]
-        trace.append(RewriteStep(Rule.HH, bisect_left(ranks, x),
-                                 bisect_left(ranks, y), dense_poly(q_masks)))
+        rule = memo[x]
+        if rule is _STALE:
+            rule = memo[x] = _rule_at(x, pocc[x], oipos[x])
+        if rule is None or rule[0] < bound:
+            continue
+        rank = rule[0]
+        if rank > bound:
+            heappush(heap, (rank, x))
+            continue
+        if len(trace) >= k0:
+            raise RuntimeError("rewrite count exceeded the variable count")
+        pivot = bisect_left(ranks, x)
+        if rank == 1:
+            trace.append(RewriteStep(Rule.Z, pivot))
+            return zero_op(n_in, n_out), trace
+        if rank == 0:
+            trace.append(RewriteStep(Rule.ELIM, pivot))
+            scalar = scalar.doubled()
+        else:
+            y = rule[1][0]
+            ybit = 1 << y
+            q_masks = [mm for mm in rule[2] if mm != ybit]
+            trace.append(RewriteStep(Rule.HH, pivot, bisect_left(ranks, y),
+                                     dense_poly(q_masks)))
+        alive[x] = False
+        del ranks[pivot]
+        if rank == 0:
+            continue
         for m in list(pocc[x]):       # drop the pivot's monomials (x * L)
-            phase_remove(m)
+            phase_toggle(m)
         for m in list(pocc[y]):       # substitute y <- Q in the phase
-            phase_remove(m)
+            phase_toggle(m)
             base = m ^ ybit
             for qm in q_masks:
                 phase_toggle(base | qm)
         for idx, m in list(oipos[y]):  # and in every output/input polynomial
-            oi_remove(idx, m)
+            oi_toggle(idx, m)
             base = m ^ ybit
             for qm in q_masks:
                 oi_toggle(idx, base | qm)
-        drop(x)
-        touch(y)
 
-    new_k = len(ranks)
     result = PathSum(
-        scalar, new_k, dense_poly(phase),
+        scalar, len(ranks), dense_poly(phase),
         tuple(dense_poly(oi[i]) for i in range(n_out)),
         tuple(dense_poly(oi[n_out + i]) for i in range(n_in)),
     )
@@ -396,7 +378,6 @@ def _profiles(a: PathSum) -> list[tuple]:
             cof = [m ^ bit for m in p.monomials if m & bit]
             deg = max(m.bit_count() for m in cof)
             top = sum(1 for m in cof if m.bit_count() == deg)
-            nvars = 0
             seen = 0
             for m in cof:
                 seen |= m

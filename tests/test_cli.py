@@ -155,6 +155,17 @@ class TestHiddenShift:
         r2 = run("hidden-shift-solve", "--circuit", out, "--json")
         assert json.loads(r2.stdout)["shift"] == "1100"
 
+    def test_gen_ignores_guard_env_var(self, tmp_path):
+        # only subcommands with --max-eval-vars read the variable
+        out = tmp_path / "hs.pathsum"
+        bad = {"PATHSUM_MAX_EVAL_VARS": "lots"}
+        r = run("hidden-shift-gen", "--n", "4", "--shift", "0110",
+                "-o", str(out), env_extra=bad)
+        assert r.returncode == 0 and out.exists()
+        r2 = run("hidden-shift-solve", "--circuit", str(out), env_extra=bad)
+        assert r2.returncode == 2
+        assert "PATHSUM_MAX_EVAL_VARS" in r2.stderr
+
     def test_shift_width_mismatch_exits_2(self, tmp_path):
         r = run("hidden-shift-gen", "--n", "4", "--shift", "110",
                 "-o", str(tmp_path / "x"))
@@ -262,6 +273,16 @@ class TestCheckConfluence:
                 "--max-eval-vars", "2", "--seed", "1")
         assert r.returncode == 3
         assert "evaluation guard" in r.stderr and "Traceback" not in r.stderr
+
+    def test_guard_env_var_and_help(self):
+        r = run("check-confluence", "--trials", "20", "--max-vars", "1",
+                "--seed", "1", env_extra={"PATHSUM_MAX_EVAL_VARS": "2"})
+        assert r.returncode == 3
+        r = run("check-confluence", "--trials", "1",
+                env_extra={"PATHSUM_MAX_EVAL_VARS": "lots"})
+        assert r.returncode == 2 and "PATHSUM_MAX_EVAL_VARS" in r.stderr
+        r = run("check-confluence", "--help")
+        assert "dense-evaluation guard" in r.stdout
 
     @pytest.mark.parametrize("flag", ["--trials", "--max-vars"])
     def test_negative_count_exits_2(self, flag):

@@ -7,8 +7,10 @@ bijection with negations.
 """
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import Gate
@@ -20,6 +22,7 @@ from pathsum.rewrite import (DETERMINISTIC_FIRST, RewriteStep, Rule,
                              simply_equivalent, trace_lines)
 from pathsum.sums import (Matrix, PathSum, compose, evaluate, gate_sem,
                           identity, interpret, ket, tensor, zero_op)
+from test_sums import path_sums
 
 x0, x1, x2, x3 = (BoolPoly.var(i) for i in range(4))
 one = BoolPoly.one()
@@ -89,6 +92,57 @@ class TestFindRewrites:
         s = PathSum(Scalar.ONE, 3, phase, (), ())
         hh = [st for st in find_rewrites(s) if st.rule is Rule.HH and st.pivot == 0]
         assert [(st.target, st.substituent) for st in hh] == [(1, x2), (2, x1)]
+
+
+def reference_rewrites(a: PathSum) -> list[RewriteStep]:
+    """The three rules as the README states them, read off cofactors.
+
+    Written apart from the engine's own classifier so that find_rewrites
+    has an independent check.
+    """
+    elims, zs, hhs = [], [], []
+    for x in range(a.num_vars):
+        if any(p.mentions(x) for p in (*a.outputs, *a.inputs)):
+            continue
+        cof, _ = a.phase.cofactor(x)
+        if cof == zero:
+            elims.append(RewriteStep(Rule.ELIM, x))
+        elif cof == one:
+            zs.append(RewriteStep(Rule.Z, x))
+        elif cof.degree() <= 1:
+            for y in sorted(cof.vars()):
+                q = cof + BoolPoly.var(y)
+                if len(q.vars()) <= 1 and not q.mentions(y):
+                    hhs.append(RewriteStep(Rule.HH, x, y, q))
+    return elims + zs + hhs
+
+
+class TestAgainstReference:
+    def test_find_rewrites_matches_rule_definitions(self):
+        rng = random.Random(79)
+        checked = Counter()
+        for i in range(5000):
+            a = (random_path_sum(rng, max_vars=8) if i % 2
+                 else random_path_sum_from_circuit(rng))
+            steps = find_rewrites(a)
+            assert steps == reference_rewrites(a), a
+            checked.update(step.rule for step in steps)
+        assert checked[Rule.ELIM] > 1000 and checked[Rule.Z] > 300
+        assert checked[Rule.HH] > 30000
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_sums())
+    def test_deterministic_first_is_greedy_property(self, a):
+        nf, trace = normalize(a, DETERMINISTIC_FIRST)
+        cur, greedy = a, []
+        while steps := find_rewrites(cur):
+            greedy.append(steps[0])
+            cur = apply(cur, steps[0])
+        assert trace == greedy and cur == nf
+        replayed = a
+        for step in trace:
+            replayed = apply(replayed, step)
+        assert replayed == nf
 
 
 class TestApply:
