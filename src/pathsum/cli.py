@@ -276,9 +276,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-confluence",
                        help="fuzz normal-form uniqueness up to simple equivalence")
-    p.add_argument("--trials", type=_nonnegative, default=100)
-    p.add_argument("--max-vars", type=_nonnegative, default=8, dest="max_vars")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_nonnegative, default=100,
+                   help="fuzz sums to normalize both ways (default: 100); each "
+                        "folds a random circuit of at most 3 qubits and 6 gates")
+    p.add_argument("--max-vars", type=_nonnegative, default=8, dest="max_vars",
+                   help="variable cap of the simple-equivalence check (default "
+                        "and largest: 8); larger normal forms are compared by "
+                        "evaluation.  It does not size the fuzz sums")
+    p.add_argument("--seed", type=int, default=0, help="fuzz seed (default: 0)")
     common(p, circuit=False)
     p.set_defaults(func=cmd_check_confluence)
 

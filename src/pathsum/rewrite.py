@@ -16,12 +16,18 @@ The preconditions are written once, in ``_rule_at``: given the phase
 monomials that mention a variable and whether it sits on a wire, it
 names the one rule the variable admits, as a rank (ELIM 0, Z 1, HH 2),
 with the HH targets and the cofactor.  ``find_rewrites`` and ``apply``
-are the executable spec built on it.  ``normalize`` with the
-deterministic strategy takes the first step of ``find_rewrites`` each
-time, but keeps an index of per-variable occurrences and one heap of
-(rank lower bound, variable) entries instead of rescanning the sum:
-a variable's ``_rule_at`` is memoized until an edit touches it, and
-the first popped entry whose rank is exact is the step to take.
+are the executable spec built on it.
+
+``normalize`` takes step i of ``find_rewrites`` on the current sum each
+time: i = 0 for the deterministic strategy, a draw of the strategy's
+seeded RNG for the random one.  It never rescans the sum.  It keeps an
+index of where each variable occurs, edits it in place, and after each
+step eagerly refreshes ``_rule_at`` for only the variables whose
+occurrences the step edited.  Each variable's step count (1 for ELIM
+and Z, its targets for HH) sits in a Fenwick tree laid out rank-major,
+so slot order is the (rank, pivot) order of ``find_rewrites`` and step
+i is found by one O(log k) descent (Fenwick 1994).  Both strategies
+share the chooser and the step application.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import enum
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Optional
 
 from .boolpoly import BoolPoly, mask_bits
@@ -62,7 +67,7 @@ class RewriteStep:
         if self.rule is Rule.HH:
             if self.target is None or self.substituent is None:
                 raise ValueError("HH steps need a target and a substituent")
-            if len(self.substituent.vars()) > 1:
+            if self.substituent.vars_mask.bit_count() > 1:
                 raise ValueError("HH substituent may mention at most one variable")
             if self.substituent.mentions(self.target):
                 raise ValueError("HH substituent must not mention the target")
@@ -216,34 +221,17 @@ def normalize(a: PathSum, strategy: Strategy = DETERMINISTIC_FIRST
               ) -> tuple[PathSum, list[RewriteStep]]:
     """Rewrite to a normal form; returns it with the step trace.
 
-    The trace length never exceeds the initial variable count, and each
-    recorded step is valid for the (densely reindexed) sum it was applied
-    to, so replaying the trace through ``apply`` reproduces the result.
+    Each step is ``find_rewrites(cur)[i]`` on the current sum ``cur``:
+    i = 0 under the deterministic strategy, ``rng.randrange(len(steps))``
+    under the seeded-random one.  The trace length never exceeds the
+    initial variable count, and each recorded step is valid for the
+    (densely reindexed) sum it was applied to, so replaying the trace
+    through ``apply`` reproduces the result.
     """
-    if strategy.kind == "first":
-        return _normalize_first(a)
-    rng = random.Random(strategy.seed)
-    cur = a
-    trace: list[RewriteStep] = []
-    budget = a.num_vars
-    while True:
-        steps = find_rewrites(cur)
-        if not steps:
-            return cur, trace
-        step = steps[rng.randrange(len(steps))]
-        cur = apply(cur, step)
-        trace.append(step)
-        if len(trace) > budget:
-            raise RuntimeError("rewrite count exceeded the variable count")
-
-
-_STALE = object()  # memo value of a touched variable
-
-
-def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
     k0 = a.num_vars
     if k0 == 0:
         return a, []
+    rng = random.Random(strategy.seed) if strategy.kind == "random" else None
     phase = set(a.phase.monomials)
     oi = [set(p.monomials) for p in a.outputs] + [set(p.monomials) for p in a.inputs]
     n_out = len(a.outputs)
@@ -259,89 +247,140 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
             for b in mask_bits(m):
                 oipos[b].add((idx, m))
 
-    alive = [True] * k0
     ranks = list(range(k0))  # alive variables, ascending: index = dense rank
-    memo = [_STALE] * k0     # _rule_at of each variable since its last touch
-    heap = [(0, v) for v in range(k0)]  # (rank lower bound, variable)
-    scalar = a.scalar
+    # One Fenwick tree over the slots rank * k0 + v, that is the three
+    # per-rank arrays end to end, of each variable's step count: 1 for
+    # ELIM and Z, the targets for HH.  Slot order is the (rank, pivot)
+    # order of find_rewrites.
+    size = 3 * k0
+    rules = [None] * k0
+    slot = [0] * k0    # 1-based tree index of each variable's count
+    count = [0] * k0
+    tree = [0] * (size + 1)
+    total = 0
+    for v in range(k0):
+        rule = rules[v] = _rule_at(v, pocc[v], oipos[v])
+        if rule is not None:
+            slot[v] = i = rule[0] * k0 + v + 1
+            count[v] = c = len(rule[1]) or 1
+            total += c
+            while i <= size:
+                tree[i] += c
+                i += i & -i
+    top = 1 << (size.bit_length() - 1)
+    touched = 0  # mask of the variables whose occurrences the step edits
+    elims = 0
     trace: list[RewriteStep] = []
 
-    def touch(v: int):
-        if alive[v] and memo[v] is not _STALE:
-            memo[v] = _STALE
-            heappush(heap, (0, v))
+    def recount(v: int, rule):
+        """Move variable v's step count to the slot of its new rule."""
+        nonlocal total
+        rules[v] = rule
+        new_slot = new_count = 0
+        if rule is not None:
+            new_slot = rule[0] * k0 + v + 1
+            new_count = len(rule[1]) or 1
+        i = slot[v]
+        if i == new_slot and count[v] == new_count:
+            return
+        if i:
+            d = count[v]
+            total -= d
+            while i <= size:
+                tree[i] -= d
+                i += i & -i
+        i = new_slot
+        if i:
+            total += new_count
+            while i <= size:
+                tree[i] += new_count
+                i += i & -i
+        slot[v] = new_slot
+        count[v] = new_count
 
     def phase_toggle(m: int):
+        nonlocal touched
+        touched |= m
         if m in phase:
             phase.remove(m)
-            for b in mask_bits(m):
-                pocc[b].remove(m)
-                touch(b)
+            edit = set.remove
         else:
             phase.add(m)
-            for b in mask_bits(m):
-                pocc[b].add(m)
-                touch(b)
+            edit = set.add
+        bits = m
+        while bits:
+            low = bits & -bits
+            edit(pocc[low.bit_length() - 1], m)
+            bits ^= low
 
     def oi_toggle(idx: int, m: int):
+        nonlocal touched
+        touched |= m
         poly = oi[idx]
         if m in poly:
             poly.remove(m)
-            for b in mask_bits(m):
-                oipos[b].remove((idx, m))
-                touch(b)
+            edit = set.remove
         else:
             poly.add(m)
-            for b in mask_bits(m):
-                oipos[b].add((idx, m))
-                touch(b)
+            edit = set.add
+        bits = m
+        while bits:
+            low = bits & -bits
+            edit(oipos[low.bit_length() - 1], (idx, m))
+            bits ^= low
+
+    def dense(m: int) -> int:
+        out = 0
+        while m:
+            low = m & -m
+            out |= 1 << bisect_left(ranks, low.bit_length() - 1)
+            m ^= low
+        return out
 
     def dense_poly(masks) -> BoolPoly:
-        out = set()
-        for m in masks:
-            nm = 0
-            for b in mask_bits(m):
-                nm |= 1 << bisect_left(ranks, b)
-            out.add(nm)
-        return BoolPoly(frozenset(out))
+        return BoolPoly(frozenset(map(dense, masks)))
 
-    # Every alive variable that admits a rule keeps an entry at or below
-    # its rank, so the first popped entry whose rank is exact is the
-    # least (rank, variable): the first step of find_rewrites.
-    while heap:
-        bound, x = heappop(heap)
-        if not alive[x]:
-            continue
-        rule = memo[x]
-        if rule is _STALE:
-            rule = memo[x] = _rule_at(x, pocc[x], oipos[x])
-        if rule is None or rule[0] < bound:
-            continue
-        rank = rule[0]
-        if rank > bound:
-            heappush(heap, (rank, x))
-            continue
+    while total:
+        # step i is in the first slot whose prefix sum exceeds i; the
+        # descent leaves i as its offset there, the HH target index
+        i = rng.randrange(total) if rng else 0
+        pos = 0
+        width = top
+        while width:
+            if pos + width <= size and tree[pos + width] <= i:
+                pos += width
+                i -= tree[pos]
+            width >>= 1
+        rank, x = divmod(pos, k0)
         if len(trace) >= k0:
             raise RuntimeError("rewrite count exceeded the variable count")
+        rule = rules[x]
         pivot = bisect_left(ranks, x)
         if rank == 1:
             trace.append(RewriteStep(Rule.Z, pivot))
             return zero_op(n_in, n_out), trace
         if rank == 0:
             trace.append(RewriteStep(Rule.ELIM, pivot))
-            scalar = scalar.doubled()
+            elims += 1
         else:
-            y = rule[1][0]
+            y = rule[1][i]
             ybit = 1 << y
             q_masks = [mm for mm in rule[2] if mm != ybit]
             trace.append(RewriteStep(Rule.HH, pivot, bisect_left(ranks, y),
                                      dense_poly(q_masks)))
-        alive[x] = False
+        recount(x, None)
         del ranks[pivot]
         if rank == 0:
             continue
-        for m in list(pocc[x]):       # drop the pivot's monomials (x * L)
-            phase_toggle(m)
+        # drop the pivot's monomials x * L; each is x or x * v, as every
+        # HH cofactor monomial has at most one variable
+        xbit = 1 << x
+        for m in pocc[x]:
+            phase.remove(m)
+            touched |= m
+            if m != xbit:
+                pocc[(m ^ xbit).bit_length() - 1].remove(m)
+        pocc[x].clear()
         for m in list(pocc[y]):       # substitute y <- Q in the phase
             phase_toggle(m)
             base = m ^ ybit
@@ -352,9 +391,16 @@ def _normalize_first(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
             base = m ^ ybit
             for qm in q_masks:
                 oi_toggle(idx, base | qm)
+        # refresh the rules the step touched; of the variables it
+        # removed, only the pivot ever occurs in an edited monomial
+        for v in mask_bits(touched & ~xbit):
+            rule = _rule_at(v, pocc[v], oipos[v])
+            if rule is not rules[v]:
+                recount(v, rule)
+        touched = 0
 
     result = PathSum(
-        scalar, len(ranks), dense_poly(phase),
+        a.scalar.times_pow2(elims), len(ranks), dense_poly(phase),
         tuple(dense_poly(oi[i]) for i in range(n_out)),
         tuple(dense_poly(oi[n_out + i]) for i in range(n_in)),
     )

@@ -3,12 +3,28 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathsum.circuit import (MAX_QUBITS, Circuit, CircuitParseError, Gate,
                              HiddenShiftSpec, hidden_shift_circuit, parse,
                              random_circuit,
                              random_hidden_shift_spec, serialize, volume)
 from pathsum.oracle import statevector_oracle
+
+
+@st.composite
+def circuits(draw, max_qubits=6, max_gates=20):
+    """Random circuits over the whole gate set, at most two controls."""
+    n = draw(st.integers(1, max_qubits))
+    arities = [("h", 1), ("x", 1), ("z", 1)]
+    arities += [("z", m) for m in (2, 3) if m <= n]
+    if n >= 2:
+        arities.append(("swap", 2))
+    gate = st.sampled_from(arities).flatmap(lambda ka: st.lists(
+        st.integers(0, n - 1), min_size=ka[1], max_size=ka[1], unique=True
+    ).map(lambda qs: Gate(ka[0], tuple(qs))))
+    return Circuit(n, tuple(draw(st.lists(gate, max_size=max_gates))))
 
 
 def bits_to_index(bits):
@@ -98,6 +114,11 @@ class TestParse:
             c = random_circuit(n, rng.randint(0, 20),
                                max_controls=min(2, n - 1), seed=i)
             assert parse(serialize(c)) == c
+
+    @settings(max_examples=300, deadline=None)
+    @given(circuits())
+    def test_round_trip_property(self, c):
+        assert parse(serialize(c)) == c
 
     def test_serialize_is_canonical(self):
         text = "qubits 2 # comment\n  CZ  0   1\n"

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import pathsum
+from pathsum.fuzz import random_path_sum_from_circuit
 
 PYTHON = sys.executable
 #: the child imports the same package as the tests, installed or not
@@ -283,6 +285,16 @@ class TestCheckConfluence:
         assert r.returncode == 2 and "PATHSUM_MAX_EVAL_VARS" in r.stderr
         r = run("check-confluence", "--help")
         assert "dense-evaluation guard" in r.stdout
+
+    def test_help_states_fuzz_size_and_cap(self):
+        # the fuzz sums come from the generator's defaults; --max-vars
+        # only caps the simple-equivalence check
+        text = " ".join(run("check-confluence", "--help").stdout.split())
+        params = inspect.signature(random_path_sum_from_circuit).parameters
+        assert (f"at most {params['max_qubits'].default} qubits and "
+                f"{params['max_gates'].default} gates") in text
+        assert "cap of the simple-equivalence check" in text
+        assert "does not size the fuzz sums" in text
 
     @pytest.mark.parametrize("flag", ["--trials", "--max-vars"])
     def test_negative_count_exits_2(self, flag):

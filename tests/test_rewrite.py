@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import Gate
@@ -21,7 +22,7 @@ from pathsum.rewrite import (DETERMINISTIC_FIRST, RewriteStep, Rule,
                              find_rewrites, normalize, seeded_random,
                              simply_equivalent, trace_lines)
 from pathsum.sums import (Matrix, PathSum, compose, evaluate, gate_sem,
-                          identity, interpret, ket, tensor, zero_op)
+                          identity, interpret, ket, tensor, to_json, zero_op)
 from test_sums import path_sums
 
 x0, x1, x2, x3 = (BoolPoly.var(i) for i in range(4))
@@ -117,6 +118,43 @@ def reference_rewrites(a: PathSum) -> list[RewriteStep]:
     return elims + zs + hhs
 
 
+def reference_random_normalize(a: PathSum, seed: int
+                               ) -> tuple[PathSum, list[RewriteStep]]:
+    """The seeded-random strategy as a whole-sum loop over the spec.
+
+    Each step is drawn from ``find_rewrites`` of the current sum and
+    applied with ``apply``, so every step rescans and rebuilds the sum.
+    """
+    rng = random.Random(seed)
+    cur = a
+    trace: list[RewriteStep] = []
+    budget = a.num_vars
+    while True:
+        steps = find_rewrites(cur)
+        if not steps:
+            return cur, trace
+        step = steps[rng.randrange(len(steps))]
+        cur = apply(cur, step)
+        trace.append(step)
+        if len(trace) > budget:
+            raise RuntimeError("rewrite count exceeded the variable count")
+
+
+def assert_random_matches_reference(a: PathSum, seed: int) -> list[RewriteStep]:
+    """The seeded-random trace and normal form equal the reference loop's.
+
+    The reference normal form is its trace replayed through ``apply``, so
+    equal traces and equal normal forms mean the trace replays to ``nf``.
+    """
+    nf, trace = normalize(a, seeded_random(seed))
+    ref_nf, ref_trace = reference_random_normalize(a, seed)
+    assert trace_lines(trace) == trace_lines(ref_trace), (a, seed)
+    assert trace == ref_trace
+    assert to_json(nf) == to_json(ref_nf), (a, seed)
+    assert nf == ref_nf
+    return trace
+
+
 class TestAgainstReference:
     def test_find_rewrites_matches_rule_definitions(self):
         rng = random.Random(79)
@@ -129,6 +167,29 @@ class TestAgainstReference:
             checked.update(step.rule for step in steps)
         assert checked[Rule.ELIM] > 1000 and checked[Rule.Z] > 300
         assert checked[Rule.HH] > 30000
+
+    def test_seeded_random_matches_reference_corpus(self):
+        rng = random.Random(80)
+        rules = Counter()
+        for i in range(3000):
+            a = (random_path_sum(rng, max_vars=8) if i % 2
+                 else random_path_sum_from_circuit(rng))
+            for _ in range(2):
+                trace = assert_random_matches_reference(a, rng.getrandbits(32))
+                rules.update(step.rule for step in trace)
+        assert rules[Rule.ELIM] > 20000 and rules[Rule.Z] > 800
+        assert rules[Rule.HH] > 18000
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_sums(), st.integers(0, 2 ** 32 - 1))
+    def test_seeded_random_matches_reference_property(self, a, seed):
+        assert_random_matches_reference(a, seed)
+
+    def test_seeded_random_matches_reference_on_large_fold(self):
+        a = random_path_sum_from_circuit(random.Random(12), max_qubits=12,
+                                         max_gates=150)
+        assert a.num_vars >= 1000
+        assert_random_matches_reference(a, 5)
 
     @settings(max_examples=300, deadline=None)
     @given(path_sums())

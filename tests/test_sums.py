@@ -24,6 +24,7 @@ from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix,
                           compose, evaluate, from_dict, from_json, gate_sem,
                           identity, interpret, ket, tensor, to_dict,
                           to_json, zero_op)
+from test_circuit import circuits
 
 x0, x1 = BoolPoly.var(0), BoolPoly.var(1)
 
@@ -287,6 +288,15 @@ class TestInterpret:
             for xv in range(1 << n):
                 bits = tuple(xv >> (n - 1 - j) & 1 for j in range(n))
                 assert m.column(xv) == statevector_oracle(c, bits), (i, xv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits(max_qubits=5, max_gates=12))
+    def test_matches_oracle_property(self, c):
+        n = c.num_qubits
+        m = evaluate(interpret(c))
+        for xv in range(1 << n):
+            bits = tuple(xv >> (n - 1 - j) & 1 for j in range(n))
+            assert m.column(xv) == statevector_oracle(c, bits), xv
 
     def test_gate_on_lower_wire(self):
         c = Circuit(2, (Gate("x", (1,)),))
