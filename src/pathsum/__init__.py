@@ -15,7 +15,7 @@ from .exact import Amplitude, ParityError, Scalar
 from .oracle import marginal_one, statevector_oracle
 from .rewrite import (DETERMINISTIC_FIRST, RewriteStep, Rule, StaleStepError,
                       Strategy, VarCapError, apply, find_rewrites, normalize,
-                      seeded_random, simply_equivalent, trace_lines)
+                      reduce, seeded_random, simply_equivalent, trace_lines)
 from .sim import (NonDeterministicOutcomeError, Probability, ShiftResult,
                   SimulationConsistencyError, measure_sim, projector_one,
                   recover_shift, strong_sim)
@@ -34,7 +34,7 @@ __all__ = [
     "evaluate", "find_rewrites", "from_dict", "from_json", "gate_sem",
     "hidden_shift_circuit", "identity", "interpret", "ket", "marginal_one",
     "measure_sim", "normalize", "parse", "projector_one", "random_circuit",
-    "random_hidden_shift_spec", "recover_shift", "seeded_random",
+    "random_hidden_shift_spec", "recover_shift", "reduce", "seeded_random",
     "serialize", "simply_equivalent", "statevector_oracle", "strong_sim",
     "tensor", "to_dict", "to_json", "trace_lines", "volume", "zero_op",
 ]

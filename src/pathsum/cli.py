@@ -9,6 +9,7 @@ feed any decision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -222,6 +223,7 @@ def cmd_check_confluence(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pathsum",

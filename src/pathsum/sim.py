@@ -1,9 +1,10 @@
 """Simulation drivers: exact amplitudes, one-qubit measurement, shift recovery.
 
-Amplitude queries build the 0 -> 0 path sum <out| [circuit] |in>, reduce
-it to a normal form and evaluate densely; a guard refuses evaluation
-when the normal form keeps too many variables, since that step is the
-only exponential one.
+Amplitude queries build the 0 -> 0 path sum <out| [circuit] |in>, rewrite
+it to a normal form, shrink that by affine elimination (``reduce``) and
+evaluate what is left densely.  A guard refuses evaluation when that
+residual keeps too many variables, since dense evaluation is the only
+exponential step.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from .boolpoly import BoolPoly
 from .circuit import Circuit
 from .exact import Amplitude, Scalar
-from .rewrite import DETERMINISTIC_FIRST, normalize
+from .rewrite import DETERMINISTIC_FIRST, normalize, reduce
 from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, adjoint, as_bits, bra,
                    compose, evaluate, interpret, ket)
 
@@ -72,44 +73,60 @@ def projector_one(n: int, qubit: int) -> PathSum:
     return PathSum(Scalar.ONE, n - 1, BoolPoly.zero(), tuple(wires), tuple(wires))
 
 
+def _closed_value(f: PathSum, max_eval_vars: int) -> tuple[Amplitude, int]:
+    """The value of a closed (0, 0) sum, and the rewrite steps taken.
+
+    ``normalize`` rewrites f, ``reduce`` shrinks the normal form, and
+    dense evaluation sums the residual; the guard bounds that residual.
+    """
+    nf, trace = normalize(f, DETERMINISTIC_FIRST)
+    return evaluate(reduce(nf), max_eval_vars)[0, 0], len(trace)
+
+
 def _probability_one(gn: PathSum, qubit: int,
                      max_eval_vars: int) -> tuple[Probability, int]:
     """Pr[qubit = 1] in the normalized state sum gn, and the steps taken.
 
     A state with no variables left is scalar*|b>, so the probability is
-    scalar^2 * b_qubit; otherwise the projector sandwich <gn|P|gn> is
-    normalized and evaluated under the guard.
+    scalar^2 * b_qubit; otherwise the projector sandwich <gn|P|gn> gets
+    its value from ``_closed_value``, under the guard.
     """
     if gn.num_vars == 0:  # each output is the constant 0 or 1
         bit = len(gn.outputs[qubit].monomials)
-        amp, trace = Amplitude.from_count(bit, gn.scalar * gn.scalar), []
+        amp, steps = Amplitude.from_count(bit, gn.scalar * gn.scalar), 0
     else:
         f = compose(adjoint(gn),
                     compose(projector_one(len(gn.outputs), qubit), gn))
-        nf, trace = normalize(f, DETERMINISTIC_FIRST)
-        amp = evaluate(nf, max_eval_vars)[0, 0]
+        amp, steps = _closed_value(f, max_eval_vars)
     if amp.num < 0 or Amplitude(1) < amp:
         raise SimulationConsistencyError(
             f"probability {amp.render()} outside [0, 1]")
-    return Probability(amp), len(trace)
+    return Probability(amp), steps
 
 
 def strong_sim(circuit: Circuit, in_bits, out_bits,
                max_eval_vars: int = DEFAULT_MAX_EVAL_VARS) -> Amplitude:
-    """Exact amplitude <out_bits| U |in_bits> of the circuit."""
+    """Exact amplitude <out_bits| U |in_bits> of the circuit.
+
+    The guard ``max_eval_vars`` bounds the variables left after
+    normalization and affine elimination, not those of the normal form.
+    """
     x = as_bits(in_bits)
     y = as_bits(out_bits)
     n = circuit.num_qubits
     if len(x) != n or len(y) != n:
         raise ValueError(f"bit strings must have width {n}")
     f = compose(bra(y), compose(interpret(circuit), ket(x)))
-    nf, _ = normalize(f, DETERMINISTIC_FIRST)
-    return evaluate(nf, max_eval_vars)[0, 0]
+    return _closed_value(f, max_eval_vars)[0]
 
 
 def measure_sim(circuit: Circuit, in_bits, qubit: int,
                 max_eval_vars: int = DEFAULT_MAX_EVAL_VARS) -> Probability:
-    """Exact probability that the given qubit measures 1 on this input."""
+    """Exact probability that the given qubit measures 1 on this input.
+
+    The guard bounds the projector sandwich's variables after
+    normalization and affine elimination, as in ``strong_sim``.
+    """
     x = as_bits(in_bits)
     n = circuit.num_qubits
     if len(x) != n:

@@ -11,7 +11,6 @@ interpretation, and dense exact evaluation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -27,17 +26,30 @@ Bits = Union[str, Sequence[int]]
 
 
 class EvalGuardError(RuntimeError):
-    """The sum has too many variables, or too many wires, to evaluate densely."""
+    """The sum has too many variables, or too many wires, to evaluate densely.
 
-    def __init__(self, num_vars: int, max_vars: int, wires: int = 0):
+    Besides the size that tripped the guard, it names the structure it
+    refused: w wire variables (in an output or input polynomial), r
+    phase-only variables, and the phase's degree and term count.
+    """
+
+    def __init__(self, num_vars: int, max_vars: int, wires: int = 0, *,
+                 wire_vars: int = 0, phase_vars: int = 0, degree: int = 0,
+                 phase_terms: int = 0):
         size = (f"{wires} wires (inputs plus outputs)" if wires
                 else f"{num_vars} summation variables")
         super().__init__(
             f"evaluation guard: {size} exceed the limit of {max_vars}; "
-            f"dense evaluation would take 2^{wires or num_vars} steps")
+            f"dense evaluation would take 2^{wires or num_vars} steps; "
+            f"refused sum: w = {wire_vars} wire variables, r = {phase_vars} "
+            f"phase-only variables, degree {degree}, {phase_terms} phase terms")
         self.num_vars = num_vars
         self.max_vars = max_vars
         self.wires = wires
+        self.wire_vars = wire_vars
+        self.phase_vars = phase_vars
+        self.degree = degree
+        self.phase_terms = phase_terms
 
 
 def as_bits(bits: Bits) -> tuple[int, ...]:
@@ -265,23 +277,26 @@ def evaluate(a: PathSum, max_vars: int = DEFAULT_MAX_EVAL_VARS) -> Matrix:
     and the cell gains 2^r - 2*popcount(phase).  A variable that occurs
     nowhere doubles every count.  Cost: 2^w assignments x
     O(terms * 2^r / 64) word operations, plus r * 2^r bits of tables
-    (48 MiB at r = 24).  The guard is unchanged: it bounds num_vars, and
-    the wire count, which sizes the 2^outputs x 2^inputs table.
+    (48 MiB at r = 24).  The guard bounds num_vars, and the wire count,
+    which sizes the 2^outputs x 2^inputs table; a refusal names w, r and
+    the phase's degree and terms.  It bounds the sum as given: the
+    simulators pass the residual that ``rewrite.reduce`` leaves.
     """
     k = a.num_vars
     m, n = len(a.outputs), len(a.inputs)
-    if k > max_vars:
-        raise EvalGuardError(k, max_vars)
-    if m + n > max_vars:
-        raise EvalGuardError(k, max_vars, wires=m + n)
-    rows, cols = 1 << m, 1 << n
-    if a.scalar.zero:
-        return Matrix.zeros(rows, cols)
     wires = a.outputs + a.inputs
     wire_mask = 0
     for p in wires:
         wire_mask |= p.vars_mask
     free_vars = mask_bits(a.phase.vars_mask & ~wire_mask)
+    if k > max_vars or m + n > max_vars:
+        raise EvalGuardError(
+            k, max_vars, 0 if k > max_vars else m + n,
+            wire_vars=wire_mask.bit_count(), phase_vars=len(free_vars),
+            degree=a.phase.degree(), phase_terms=len(a.phase.monomials))
+    rows, cols = 1 << m, 1 << n
+    if a.scalar.zero:
+        return Matrix.zeros(rows, cols)
     size = 1 << len(free_vars)
     full = (1 << size) - 1
     table = {}
@@ -353,27 +368,39 @@ def interpret(circuit: Circuit) -> PathSum:
     with phase term y*out[q] and makes y the wire's output; X adds 1 to
     out[q]; C^(m)Z adds the product of its wires' outputs to the phase;
     SWAP exchanges two outputs.  The result has exactly n + #H variables
-    and scalar 2^(-#H/2).
+    and scalar 2^(-#H/2).  Outputs and phase are kept as plain sets of
+    monomial masks and become polynomials once, at the end.
     """
     n = circuit.num_qubits
-    inputs = tuple(BoolPoly.var(q) for q in range(n))
-    out = list(inputs)
+    out = [{1 << q} for q in range(n)]
     phase: set[int] = set()
     k = n
     for gate in circuit.gates:
         qs = gate.qubits
         if gate.kind == H:
-            phase ^= {(1 << k) | mm for mm in out[qs[0]].monomials}
-            out[qs[0]] = BoolPoly.var(k)
+            phase ^= {(1 << k) | mm for mm in out[qs[0]]}
+            out[qs[0]] = {1 << k}
             k += 1
         elif gate.kind == X:
-            out[qs[0]] += BoolPoly.one()
+            out[qs[0]] ^= {0}
         elif gate.kind == CMZ:
-            phase ^= math.prod((out[q] for q in qs), start=BoolPoly.one()).monomials
+            prod = out[qs[0]]
+            for q in qs[1:]:
+                acc: set[int] = set()
+                for a in prod:
+                    for b in out[q]:
+                        mm = a | b
+                        if mm in acc:
+                            acc.remove(mm)
+                        else:
+                            acc.add(mm)
+                prod = acc
+            phase ^= prod
         else:  # SWAP
             out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
     return PathSum(Scalar.pow2(n - k), k, BoolPoly(frozenset(phase)),
-                   tuple(out), inputs)
+                   tuple(BoolPoly(frozenset(o)) for o in out),
+                   tuple(BoolPoly.var(q) for q in range(n)))
 
 
 # ---------------------------------------------------------------------------

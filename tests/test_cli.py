@@ -82,6 +82,12 @@ class TestAmp:
         r = run("amp", "--circuit", str(path), "--in", "000", "--out", "000",
                 "--max-eval-vars", "2")
         assert r.returncode == 3
+        # the error names the residual left after affine elimination
+        assert r.stderr == (
+            "error: evaluation guard: 6 summation variables exceed the limit "
+            "of 2; dense evaluation would take 2^6 steps; refused sum: w = 0 "
+            "wire variables, r = 6 phase-only variables, degree 3, 5 phase "
+            "terms\n")
 
     def test_malformed_env_var_reports(self, h_circuit):
         r = run("amp", "--circuit", h_circuit, "--in", "0", "--out", "0",
@@ -118,6 +124,35 @@ class TestAmp:
         r = run("amp", "--circuit", str(path), "--in", "000", "--out", "000",
                 env_extra={"PATHSUM_MAX_EVAL_VARS": "2"})
         assert r.returncode == 3
+
+
+class TestInProcess:
+    def test_repeated_main_calls_keep_their_own_defaults(
+            self, h_circuit, tmp_path, monkeypatch, capsys):
+        # main builds its parser once per process; each call must still
+        # get fresh defaults, read the environment anew and exit on its own
+        from pathsum.cli import _build_parser, main
+        deep = tmp_path / "deep.pathsum"
+        lines = ["qubits 3"]
+        for _ in range(2):
+            lines += [f"h {q}" for q in range(3)] + ["z 0 1 2"]
+        deep.write_text("\n".join(lines + [f"h {q}" for q in range(3)]) + "\n")
+        amp = ["amp", "--circuit", str(deep), "--in", "000", "--out", "000"]
+        monkeypatch.delenv("PATHSUM_MAX_EVAL_VARS", raising=False)
+        assert main(["measure", "--circuit", h_circuit, "--in", "0",
+                     "--qubit", "0", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["probability"] == {"num": 1, "half_exp": -2}
+        monkeypatch.setenv("PATHSUM_MAX_EVAL_VARS", "2")
+        assert main(amp) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "limit of 2;" in captured.err
+        monkeypatch.setenv("PATHSUM_MAX_EVAL_VARS", "8")
+        assert main(amp) == 0
+        assert capsys.readouterr().out.startswith("amplitude: ")  # no --json
+        assert main(amp + ["--max-eval-vars", "-1"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+        assert _build_parser() is _build_parser()
 
 
 class TestMeasure:

@@ -17,12 +17,14 @@ from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import Gate
 from pathsum.exact import Amplitude, Scalar
 from pathsum.fuzz import random_path_sum, random_path_sum_from_circuit
-from pathsum.rewrite import (DETERMINISTIC_FIRST, RewriteStep, Rule,
-                             StaleStepError, Strategy, VarCapError, apply,
-                             find_rewrites, normalize, seeded_random,
-                             simply_equivalent, trace_lines)
-from pathsum.sums import (Matrix, PathSum, compose, evaluate, gate_sem,
-                          identity, interpret, ket, tensor, to_json, zero_op)
+from pathsum.rewrite import (AFFINE_TERM_GROWTH, DETERMINISTIC_FIRST,
+                             RewriteStep, Rule, StaleStepError, Strategy,
+                             VarCapError, apply, find_rewrites, normalize,
+                             reduce, seeded_random, simply_equivalent,
+                             trace_lines)
+from pathsum.sums import (EvalGuardError, Matrix, PathSum, compose, evaluate,
+                          gate_sem, identity, interpret, ket, tensor, to_json,
+                          zero_op)
 from test_sums import path_sums
 
 x0, x1, x2, x3 = (BoolPoly.var(i) for i in range(4))
@@ -319,6 +321,94 @@ class TestNormalize:
         s = PathSum(Scalar.pow2(-2), 2, x0 * x1, (x1,), ())
         _, trace = normalize(s)
         assert trace_lines(trace) == ["HH pivot=0 target=1 Q=0", "ELIM x=0"]
+
+
+def with_affine_pivot(a: PathSum, targets, constant: int) -> PathSum:
+    """a with one more, wire-free variable x multiplying the sum of the
+    target variables (and the constant): an affine cofactor."""
+    k = a.num_vars
+    xbit = 1 << k
+    extra = BoolPoly(frozenset(xbit | m for m in
+                               [1 << t for t in targets] + [0] * constant))
+    return PathSum(a.scalar, k + 1, a.phase + extra, a.outputs, a.inputs)
+
+
+@st.composite
+def sums_with_affine_pivot(draw):
+    a = draw(path_sums())
+    if a.num_vars < 3:
+        return a
+    targets = draw(st.lists(st.integers(0, a.num_vars - 1), min_size=3,
+                            max_size=5, unique=True))
+    return with_affine_pivot(a, targets, draw(st.integers(0, 1)))
+
+
+def assert_reduce_keeps_value(a: PathSum) -> bool:
+    """reduce keeps the value of a's normal form and leaves no rewrite;
+    returns whether it removed a variable."""
+    nf, _ = normalize(a)
+    r = reduce(nf)
+    assert evaluate(r) == evaluate(nf), nf
+    assert r.signature == nf.signature and r.num_vars <= nf.num_vars
+    assert find_rewrites(r) == []
+    return r.num_vars < nf.num_vars
+
+
+class TestReduce:
+    def test_keeps_value_on_fuzz_corpus(self):
+        # the plain fuzz sums rarely admit an affine step, so every other
+        # one gets a wire-free pivot over three to five of its variables
+        rng = random.Random(81)
+        shrunk = 0
+        for i in range(2400):
+            a = (random_path_sum(rng, max_vars=8) if i % 2
+                 else random_path_sum_from_circuit(rng))
+            if i % 4 < 2 and a.num_vars >= 3:
+                a = with_affine_pivot(
+                    a, rng.sample(range(a.num_vars), rng.randint(3, min(5, a.num_vars))),
+                    rng.randrange(2))
+            shrunk += assert_reduce_keeps_value(a)
+        assert shrunk > 150  # 181 seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(sums_with_affine_pivot())
+    def test_keeps_value_property(self, a):
+        assert_reduce_keeps_value(a)
+
+    def test_is_not_a_rewrite(self):
+        # the criterion-8 pivot: find_rewrites and normalize leave it, and
+        # reduce removes it with its lowest target, y := z + w, after which
+        # y*z*w cancels and the rest are ELIMs
+        w, x, y, z = 0, 1, 2, 3
+        s = PathSum(Scalar.ONE, 4, BoolPoly.of((x, y), (x, z), (x, w), (y, z, w)),
+                    (), ())
+        assert find_rewrites(s) == []
+        assert normalize(s) == (s, [])
+        r = reduce(s)
+        assert r.num_vars == 0 and evaluate(r) == evaluate(s)
+
+    def test_stops_at_the_term_cap(self):
+        # pivot 0 forces y = z_1 + ... + z_10, which turns y's 28 cubic
+        # monomials into 280; pivot 1 (u + v_1 + v_2 + v_3) is left, since
+        # the phase has grown past the cap.  Every other variable sits in
+        # a cubic monomial, so neither HH nor an affine step takes it.
+        y, zs, u, vs = 2, range(3, 13), 13, range(14, 17)
+        avars, fillers = range(17, 25), (25, 26, 27, 28)
+        terms = [(0, t) for t in (y, *zs)] + [(1, t) for t in (u, *vs)]
+        terms += [(y, a, b) for a in avars for b in avars if a < b]
+        for i, t in enumerate((*zs, u, *vs)):
+            terms.append((t, fillers[i % 4], fillers[(i + 1) % 4]))
+        s = PathSum(Scalar.ONE, 29, BoolPoly.of(*terms), (), ())
+        assert find_rewrites(s) == []
+        r = reduce(s)
+        assert r.num_vars == 27  # the pivot and y went; pivot 1 is left
+        assert len(r.phase.monomials) > AFFINE_TERM_GROWTH * len(s.phase.monomials)
+        # the stop was the cap: a fresh reduce takes pivot 1 and its target
+        assert reduce(r).num_vars == 25
+        with pytest.raises(EvalGuardError) as err:
+            evaluate(r, 20)
+        assert err.value.num_vars == 27
+        assert err.value.phase_terms == len(r.phase.monomials)
 
 
 class TestZRuleMeansZero:

@@ -10,7 +10,7 @@ from pathsum.circuit import (Circuit, Gate, HiddenShiftSpec,
 from pathsum.boolpoly import BoolPoly
 from pathsum.exact import Amplitude, Scalar
 from pathsum.oracle import marginal_one, statevector_oracle
-from pathsum.rewrite import normalize
+from pathsum.rewrite import find_rewrites, normalize, reduce
 from pathsum.sim import (NonDeterministicOutcomeError, Probability,
                          measure_sim, projector_one, recover_shift,
                          strong_sim)
@@ -97,6 +97,36 @@ class TestMeasureSim:
     def test_qubit_range(self):
         with pytest.raises(ValueError):
             measure_sim(Circuit(1, ()), "0", 1)
+
+    @staticmethod
+    def sandwich_normal_form(c, bits, qubit):
+        gn, _ = normalize(compose(interpret(c), ket(bits)))
+        n = c.num_qubits
+        return normalize(compose(adjoint(gn),
+                                 compose(projector_one(n, qubit), gn)))[0]
+
+    def test_affine_elimination_answers_the_refused_pin(self):
+        # the benchmark's pinned refusal: its normal form keeps 56
+        # variables and 162 cubic phase terms, and admits no rewrite
+        c, bits = random_circuit(16, 300, seed=9), "0" * 16
+        nf = self.sandwich_normal_form(c, bits, 0)
+        assert (nf.num_vars, len(nf.phase.monomials)) == (56, 162)
+        assert find_rewrites(nf) == []
+        assert reduce(nf).num_vars == 13
+        expect = marginal_one(statevector_oracle(c, bits, max_qubits=16), 16, 0)
+        assert expect == Amplitude(1, -2)
+        assert measure_sim(c, bits, 0, max_eval_vars=20).exact == expect
+
+    def test_guard_bounds_the_residual_after_reduction(self):
+        c, bits = random_circuit(16, 600, seed=2002), "0010011011100101"
+        nf = self.sandwich_normal_form(c, bits, 15)
+        assert nf.num_vars == 33
+        with pytest.raises(EvalGuardError):
+            evaluate(nf, 20)
+        assert reduce(nf).num_vars == 12
+        expect = marginal_one(statevector_oracle(c, bits, max_qubits=16), 16, 15)
+        assert expect == Amplitude(9, -8)
+        assert measure_sim(c, bits, 15, max_eval_vars=20).exact == expect
 
     def test_projector_shape(self):
         p = projector_one(3, 1)

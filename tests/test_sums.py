@@ -6,6 +6,7 @@ circuit interpretation is checked against the dense oracle.
 """
 
 import json
+import math
 import random
 import tracemalloc
 
@@ -194,6 +195,20 @@ class TestEvaluate:
         assert err.value.wires == 40 and err.value.num_vars == 0
         assert "40 wires" in str(err.value)
 
+    def test_guard_names_refused_structure(self):
+        # x0 on the output, x1..x3 only in the phase, of degree 3
+        s = PathSum(Scalar.ONE, 4, BoolPoly.of((0, 1, 2), (3,), (1, 3)),
+                    (BoolPoly.var(0),), ())
+        with pytest.raises(EvalGuardError) as err:
+            evaluate(s, max_vars=3)
+        e = err.value
+        assert (e.num_vars, e.max_vars, e.wires) == (4, 3, 0)
+        assert (e.wire_vars, e.phase_vars, e.degree, e.phase_terms) == (1, 3, 3, 3)
+        assert str(e) == (
+            "evaluation guard: 4 summation variables exceed the limit of 3; "
+            "dense evaluation would take 2^4 steps; refused sum: w = 1 wire "
+            "variables, r = 3 phase-only variables, degree 3, 3 phase terms")
+
     def test_guard_default(self):
         assert DEFAULT_MAX_EVAL_VARS == 24
 
@@ -267,7 +282,42 @@ class TestGateSem:
             assert u.dagger() @ u == Matrix.identity(u.cols), gate.kind
 
 
+def reference_interpret(circuit: Circuit) -> PathSum:
+    """The per-gate BoolPoly form ``interpret`` used to take: the output
+    of its mask-set form must equal this byte for byte."""
+    n = circuit.num_qubits
+    inputs = tuple(BoolPoly.var(q) for q in range(n))
+    out = list(inputs)
+    phase: set[int] = set()
+    k = n
+    for gate in circuit.gates:
+        qs = gate.qubits
+        if gate.kind == "h":
+            phase ^= {(1 << k) | mm for mm in out[qs[0]].monomials}
+            out[qs[0]] = BoolPoly.var(k)
+            k += 1
+        elif gate.kind == "x":
+            out[qs[0]] += BoolPoly.one()
+        elif gate.kind == "z":
+            phase ^= math.prod((out[q] for q in qs), start=BoolPoly.one()).monomials
+        else:  # swap
+            out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
+    return PathSum(Scalar.pow2(n - k), k, BoolPoly(frozenset(phase)),
+                   tuple(out), inputs)
+
+
 class TestInterpret:
+    def test_matches_reference_form(self):
+        rng = random.Random(57)
+        kinds = set()
+        for seed in range(600):
+            n = rng.randint(1, 16)
+            c = random_circuit(n, rng.randint(0, 300),
+                               max_controls=min(3, n - 1), seed=seed)
+            kinds.update((g.kind, len(g.qubits)) for g in c.gates)
+            assert to_json(interpret(c)) == to_json(reference_interpret(c)), seed
+        assert {("h", 1), ("x", 1), ("z", 1), ("z", 3), ("z", 4), ("swap", 2)} <= kinds
+
     def test_empty_circuit(self):
         assert evaluate(interpret(Circuit(2, ()))) == Matrix.identity(4)
 
