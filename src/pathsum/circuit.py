@@ -42,19 +42,22 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = len(self.qubits)
-        if self.kind in (H, X) and arity != 1:
-            raise ValueError(f"{self.kind} takes one qubit, got {arity}")
-        if self.kind == SWAP and arity != 2:
+        kind, qubits = self.kind, self.qubits
+        if type(qubits) is not tuple:
+            qubits = tuple(qubits)
+            object.__setattr__(self, "qubits", qubits)
+        if kind not in _KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        arity = len(qubits)
+        if (kind == H or kind == X) and arity != 1:
+            raise ValueError(f"{kind} takes one qubit, got {arity}")
+        if kind == SWAP and arity != 2:
             raise ValueError(f"swap takes two qubits, got {arity}")
-        if self.kind == CMZ and arity < 1:
+        if kind == CMZ and arity < 1:
             raise ValueError("z takes at least one qubit")
-        if len(set(self.qubits)) != arity:
-            raise ValueError(f"repeated qubit in {self.kind} {self.qubits}")
-        if any(q < 0 for q in self.qubits):
+        if len(set(qubits)) != arity:
+            raise ValueError(f"repeated qubit in {kind} {qubits}")
+        if min(qubits) < 0:  # every kind has at least one qubit by now
             raise ValueError("negative qubit index")
 
     def controls(self) -> int:
@@ -100,68 +103,84 @@ def volume(circuit: Circuit) -> Volume:
 # ---------------------------------------------------------------------------
 # text format
 
+#: mnemonics that parse as C^(m)Z, with the qubit count each takes
+_ALIASES = {"cz": 2, "ccz": 3}
+
+
 def parse(text: str, max_controls: int = DEFAULT_MAX_CONTROLS) -> Circuit:
-    """Parse the circuit text format; raises CircuitParseError on any input."""
+    """Parse the circuit text format; raises CircuitParseError on any input.
+
+    An error names the line and the column of the line's first token
+    (of the bad token, for a non-integer); columns are found only then.
+    """
     if not isinstance(text, str):
         raise CircuitParseError("input is not text", 1)
     num_qubits: Optional[int] = None
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        col = raw.index(tokens[0]) + 1
-        head = tokens[0].lower()
-        if num_qubits is None:
-            if head != "qubits":
-                raise CircuitParseError("expected 'qubits N' header", lineno, col)
-            if len(tokens) != 2:
-                raise CircuitParseError("'qubits' takes one count", lineno, col)
-            num_qubits = _int_token(tokens[1], lineno, raw)
-            if num_qubits < 0:
-                raise CircuitParseError("negative qubit count", lineno, col)
-            if num_qubits > MAX_QUBITS:
-                raise CircuitParseError(
-                    f"{num_qubits} qubits exceed the maximum of {MAX_QUBITS}",
-                    lineno, col)
-            continue
-        arity_alias = {"cz": 2, "ccz": 3}
-        if head in arity_alias:
-            want = arity_alias[head]
-            if len(tokens) - 1 != want:
-                raise CircuitParseError(
-                    f"{head} takes {want} qubits, got {len(tokens) - 1}",
-                    lineno, col)
-            head = CMZ
-        elif head not in _KINDS:
-            raise CircuitParseError(f"unknown gate mnemonic {head!r}", lineno, col)
-        qubits = tuple(_int_token(t, lineno, raw) for t in tokens[1:])
-        if head == CMZ and len(qubits) > max_controls + 1:
-            raise CircuitParseError(
-                f"z on {len(qubits)} qubits exceeds the configured "
-                f"maximum of {max_controls} controls", lineno, col)
-        try:
-            gate = Gate(head, qubits)
-        except ValueError as exc:
-            raise CircuitParseError(str(exc), lineno, col) from None
-        for q in qubits:
-            if q >= num_qubits:
-                raise CircuitParseError(
-                    f"qubit {q} out of range for {num_qubits} qubits", lineno, col)
-        gates.append(gate)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            head = tokens[0].lower()
+            if num_qubits is None:
+                if head != "qubits":
+                    raise _LineError("expected 'qubits N' header")
+                if len(tokens) != 2:
+                    raise _LineError("'qubits' takes one count")
+                num_qubits = _ints(tokens[1:], lineno, raw)[0]
+                if num_qubits < 0:
+                    raise _LineError("negative qubit count")
+                if num_qubits > MAX_QUBITS:
+                    raise _LineError(f"{num_qubits} qubits exceed the maximum "
+                                     f"of {MAX_QUBITS}")
+                continue
+            if head in _ALIASES:
+                want = _ALIASES[head]
+                if len(tokens) - 1 != want:
+                    raise _LineError(
+                        f"{head} takes {want} qubits, got {len(tokens) - 1}")
+                head = CMZ
+            elif head not in _KINDS:
+                raise _LineError(f"unknown gate mnemonic {head!r}")
+            qubits = _ints(tokens[1:], lineno, raw)
+            if head == CMZ and len(qubits) > max_controls + 1:
+                raise _LineError(
+                    f"z on {len(qubits)} qubits exceeds the configured "
+                    f"maximum of {max_controls} controls")
+            try:
+                gate = Gate(head, qubits)
+            except ValueError as exc:
+                raise _LineError(str(exc)) from None
+            if max(qubits) >= num_qubits:  # a Gate has at least one qubit
+                q = next(q for q in qubits if q >= num_qubits)
+                raise _LineError(f"qubit {q} out of range for {num_qubits} qubits")
+            gates.append(gate)
+    except _LineError as exc:
+        raise CircuitParseError(str(exc), lineno,
+                                raw.index(tokens[0]) + 1) from None
     if num_qubits is None:
         raise CircuitParseError("empty input: missing 'qubits N' header", 1)
     return Circuit(num_qubits, tuple(gates))
 
 
-def _int_token(token: str, lineno: int, raw: str) -> int:
+class _LineError(Exception):
+    """A parse error at the first token of the current line."""
+
+
+def _ints(tokens: list[str], lineno: int, raw: str) -> tuple[int, ...]:
+    """The tokens as base-10 integers; the first bad one is the error."""
     try:
-        return int(token, 10)
+        return tuple(map(int, tokens))
     except ValueError:
-        col = raw.index(token) + 1 if token in raw else 1
-        raise CircuitParseError(f"expected an integer, got {token!r}",
-                                lineno, col) from None
+        for token in tokens:
+            try:
+                int(token, 10)
+            except ValueError:
+                col = raw.index(token) + 1 if token in raw else 1
+                raise CircuitParseError(f"expected an integer, got {token!r}",
+                                        lineno, col) from None
+        raise
 
 
 def serialize(circuit: Circuit) -> str:

@@ -21,8 +21,10 @@ from .circuit import (CircuitParseError, HiddenShiftSpec, hidden_shift_circuit,
 from .rewrite import (DETERMINISTIC_FIRST, normalize, seeded_random,
                       simply_equivalent, trace_lines)
 from .sim import NonDeterministicOutcomeError, measure_sim, recover_shift, strong_sim
-from .sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, compose, evaluate,
-                   interpret, ket, to_dict)
+# compose is not called here, but stays a module global: the benchmark's
+# tracer (perfbench/tracer.py) wraps every name it looks up in this module
+from .sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, compose,  # noqa: F401
+                   evaluate, interpret, to_dict)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,10 +173,10 @@ def cmd_hidden_shift_solve(args) -> int:
 
 def cmd_normalize(args) -> int:
     circ = _read_circuit(args.circuit)
-    s = interpret(circ)
+    x = None
     if args.in_bits is not None:
         x = _bits(args.in_bits, circ.num_qubits, "--in")
-        s = compose(s, ket(x))
+    s = interpret(circ, x)
     strategy = (DETERMINISTIC_FIRST if args.strategy == "first"
                 else seeded_random(args.seed))
     nf, trace = normalize(s, strategy)

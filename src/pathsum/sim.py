@@ -1,10 +1,13 @@
 """Simulation drivers: exact amplitudes, one-qubit measurement, shift recovery.
 
-Amplitude queries build the 0 -> 0 path sum <out| [circuit] |in>, rewrite
-it to a normal form, shrink that by affine elimination (``reduce``) and
-evaluate what is left densely.  A guard refuses evaluation when that
-residual keeps too many variables, since dense evaluation is the only
-exponential step.
+Every driver interprets the circuit on its basis input, so the state
+sum [circuit]|in> has one variable per Hadamard and no input wires.
+Amplitude queries close it with <out| into the 0 -> 0 path sum
+<out| [circuit] |in>, rewrite that to a normal form, shrink it by affine
+elimination (``reduce``) and evaluate what is left densely.  Measurement
+projects the normalized state in place and closes it with its own
+adjoint.  A guard refuses evaluation when the residual keeps too many
+variables, since dense evaluation is the only exponential step.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .circuit import Circuit
 from .exact import Amplitude, Scalar
 from .rewrite import DETERMINISTIC_FIRST, normalize, reduce
 from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, adjoint, as_bits, bra,
-                   compose, evaluate, interpret, ket)
+                   compose, evaluate, interpret)
 
 
 class NonDeterministicOutcomeError(RuntimeError):
@@ -65,12 +68,31 @@ class ShiftResult:
 
 
 def projector_one(n: int, qubit: int) -> PathSum:
-    """|1><1| on one wire, identity on the other n - 1 (one variable each)."""
+    """|1><1| on one wire, identity on the other n - 1 (one variable each).
+
+    The drivers project states in place (``_project_one``); this operator
+    is the reference that construction is tested against.
+    """
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} wires")
     wires = [BoolPoly.var(i) for i in range(n - 1)]
     wires.insert(qubit, BoolPoly.one())
     return PathSum(Scalar.ONE, n - 1, BoolPoly.zero(), tuple(wires), tuple(wires))
+
+
+def _project_one(g: PathSum, qubit: int) -> PathSum:
+    """P1 on one output of g, in place: one mediator y with phase term
+    y*(O_qubit + 1) and scalar 2^-1 force O_qubit = 1, which becomes the
+    constant output.  Equal in value to compose(projector_one(n, qubit), g)
+    with 1 variable added instead of 2n - 1."""
+    y = 1 << g.num_vars
+    phase = set(g.phase.monomials)
+    phase ^= {y | mm for mm in g.outputs[qubit].monomials}
+    phase ^= {y}
+    outputs = list(g.outputs)
+    outputs[qubit] = BoolPoly.one()
+    return PathSum(g.scalar.times_pow2(-1), g.num_vars + 1,
+                   BoolPoly(frozenset(phase)), tuple(outputs), g.inputs)
 
 
 def _closed_value(f: PathSum, max_eval_vars: int) -> tuple[Amplitude, int]:
@@ -88,15 +110,16 @@ def _probability_one(gn: PathSum, qubit: int,
     """Pr[qubit = 1] in the normalized state sum gn, and the steps taken.
 
     A state with no variables left is scalar*|b>, so the probability is
-    scalar^2 * b_qubit; otherwise the projector sandwich <gn|P|gn> gets
-    its value from ``_closed_value``, under the guard.
+    scalar^2 * b_qubit.  Otherwise gn is projected in place to P gn and
+    the sandwich <P gn|P gn> = <gn|P|gn> gets its value from
+    ``_closed_value``, under the guard: 2k + n + 2 variables for k in gn.
     """
     if gn.num_vars == 0:  # each output is the constant 0 or 1
         bit = len(gn.outputs[qubit].monomials)
         amp, steps = Amplitude.from_count(bit, gn.scalar * gn.scalar), 0
     else:
-        f = compose(adjoint(gn),
-                    compose(projector_one(len(gn.outputs), qubit), gn))
+        pg = _project_one(gn, qubit)
+        f = compose(adjoint(pg), pg)
         amp, steps = _closed_value(f, max_eval_vars)
     if amp.num < 0 or Amplitude(1) < amp:
         raise SimulationConsistencyError(
@@ -116,7 +139,7 @@ def strong_sim(circuit: Circuit, in_bits, out_bits,
     n = circuit.num_qubits
     if len(x) != n or len(y) != n:
         raise ValueError(f"bit strings must have width {n}")
-    f = compose(bra(y), compose(interpret(circuit), ket(x)))
+    f = compose(bra(y), interpret(circuit, x))
     return _closed_value(f, max_eval_vars)[0]
 
 
@@ -127,14 +150,10 @@ def measure_sim(circuit: Circuit, in_bits, qubit: int,
     The guard bounds the projector sandwich's variables after
     normalization and affine elimination, as in ``strong_sim``.
     """
-    x = as_bits(in_bits)
     n = circuit.num_qubits
-    if len(x) != n:
-        raise ValueError(f"input must have width {n}")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    g = compose(interpret(circuit), ket(x))
-    gn, _ = normalize(g, DETERMINISTIC_FIRST)
+    gn, _ = normalize(interpret(circuit, in_bits), DETERMINISTIC_FIRST)
     return _probability_one(gn, qubit, max_eval_vars)[0]
 
 
@@ -142,14 +161,14 @@ def recover_shift(circuit: Circuit,
                   max_eval_vars: int = DEFAULT_MAX_EVAL_VARS) -> ShiftResult:
     """Read off the hidden shift: bit i is 1 iff qubit i measures 1 surely.
 
-    The state sum [circuit]|0...0> is normalized once.  On a hidden-shift
-    instance it collapses to |s> with no variables left, and the shift is
-    read off its outputs; a state that keeps variables falls back to one
-    projector sandwich per qubit.
+    The state sum [circuit]|0...0>, interpreted on that input with one
+    variable per Hadamard, is normalized once.  On a hidden-shift instance
+    it collapses to |s> with no variables left, after exactly #H steps, and
+    the shift is read off its outputs; a state that keeps variables falls
+    back to one projector sandwich per qubit.
     """
     n = circuit.num_qubits
-    g = compose(interpret(circuit), ket((0,) * n))
-    gn, gtrace = normalize(g, DETERMINISTIC_FIRST)
+    gn, gtrace = normalize(interpret(circuit, (0,) * n), DETERMINISTIC_FIRST)
     steps = len(gtrace)
     probs = []
     for i in range(n):

@@ -361,7 +361,7 @@ def gate_sem(gate: Gate) -> PathSum:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def interpret(circuit: Circuit) -> PathSum:
+def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     """Direct per-wire interpretation (Amy, QPL 2018).
 
     Wire q starts as input variable x_q.  H adds one fresh variable y
@@ -370,11 +370,25 @@ def interpret(circuit: Circuit) -> PathSum:
     SWAP exchanges two outputs.  The result has exactly n + #H variables
     and scalar 2^(-#H/2).  Outputs and phase are kept as plain sets of
     monomial masks and become polynomials once, at the end.
+
+    Given a basis input ``in_bits`` (width n), wire q starts as the
+    constant b_q instead, and the result is the state [circuit]|x>: #H
+    variables, no inputs, scalar 2^(-#H/2), equal in value to
+    ``compose(interpret(circuit), ket(in_bits))`` without its n input
+    variables and n mediators.
     """
     n = circuit.num_qubits
-    out = [{1 << q} for q in range(n)]
+    if in_bits is None:
+        out = [{1 << q} for q in range(n)]
+        inputs = tuple(BoolPoly.var(q) for q in range(n))
+    else:
+        bits = as_bits(in_bits)
+        if len(bits) != n:
+            raise ValueError(f"input must have width {n}, got {len(bits)}")
+        out = [{0} if b else set() for b in bits]
+        inputs = ()
+    k0 = k = len(inputs)
     phase: set[int] = set()
-    k = n
     for gate in circuit.gates:
         qs = gate.qubits
         if gate.kind == H:
@@ -398,9 +412,8 @@ def interpret(circuit: Circuit) -> PathSum:
             phase ^= prod
         else:  # SWAP
             out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
-    return PathSum(Scalar.pow2(n - k), k, BoolPoly(frozenset(phase)),
-                   tuple(BoolPoly(frozenset(o)) for o in out),
-                   tuple(BoolPoly.var(q) for q in range(n)))
+    return PathSum(Scalar.pow2(k0 - k), k, BoolPoly(frozenset(phase)),
+                   tuple(BoolPoly(frozenset(o)) for o in out), inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,41 @@ class TestParse:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize("text, message", [
+        ("\n  h 0\n", "line 2, column 3: expected 'qubits N' header"),
+        ("# c\n qubits\n", "line 2, column 2: 'qubits' takes one count"),
+        ("qubits 2 3\n", "line 1, column 1: 'qubits' takes one count"),
+        ("qubits  -1\n", "line 1, column 1: negative qubit count"),
+        ("  qubits 4097\n",
+         "line 1, column 3: 4097 qubits exceed the maximum of 4096"),
+        ("qubits x2\n", "line 1, column 8: expected an integer, got 'x2'"),
+        ("qubits 3\n\n   cz 0\n", "line 3, column 4: cz takes 2 qubits, got 1"),
+        ("qubits 3\n CCZ 0 1\n", "line 2, column 2: ccz takes 3 qubits, got 2"),
+        ("qubits 3\n  t 0\n", "line 2, column 3: unknown gate mnemonic 't'"),
+        ("qubits 3\nh  0x1\n", "line 2, column 4: expected an integer, got '0x1'"),
+        ("qubits 3\n z 0 1 bad # note\n",
+         "line 2, column 8: expected an integer, got 'bad'"),
+        ("qubits 4\n\tz 0 1 2 3\n", "line 2, column 2: z on 4 qubits exceeds "
+         "the configured maximum of 2 controls"),
+        ("qubits 3\nswap 1\n", "line 2, column 1: swap takes two qubits, got 1"),
+        ("qubits 3\n  z 2 2\n", "line 2, column 3: repeated qubit in z (2, 2)"),
+        ("qubits 3\nx -1\n", "line 2, column 1: negative qubit index"),
+        ("qubits 3\nh 0\n   swap 0 7\n",
+         "line 3, column 4: qubit 7 out of range for 3 qubits"),
+        ("qubits 3\n  z 1 5 9\n",
+         "line 2, column 3: qubit 5 out of range for 3 qubits"),
+        ("", "line 1, column 1: empty input: missing 'qubits N' header"),
+    ])
+    def test_error_messages_and_positions(self, text, message):
+        # every check keeps its message, line and column; the column is
+        # the line's first token, or the token that is not an integer
+        with pytest.raises(CircuitParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+        line, column = message.split(":")[0].split(", ")
+        assert err.value.line == int(line.split()[1])
+        assert err.value.column == int(column.split()[1])
+
     def test_control_budget(self):
         with pytest.raises(CircuitParseError, match="maximum"):
             parse("qubits 4\nz 0 1 2 3\n")

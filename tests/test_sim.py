@@ -1,6 +1,8 @@
 """Simulation drivers against the dense oracle."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +14,14 @@ from pathsum.exact import Amplitude, Scalar
 from pathsum.oracle import marginal_one, statevector_oracle
 from pathsum.rewrite import find_rewrites, normalize, reduce
 from pathsum.sim import (NonDeterministicOutcomeError, Probability,
-                         measure_sim, projector_one, recover_shift,
-                         strong_sim)
+                         _closed_value, _project_one, measure_sim,
+                         projector_one, recover_shift, strong_sim)
 from pathsum.sums import (EvalGuardError, PathSum, adjoint, compose, evaluate,
                           identity, interpret, ket, tensor)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.workloads import POOL12, POOL16  # noqa: E402
 
 
 def bits_to_index(bits):
@@ -145,6 +151,70 @@ class TestMeasureSim:
                 assert projector_one(n, q) == built, (n, q)
 
 
+class TestProjectInPlace:
+    """The drivers' sandwich <P g|P g> against <g| projector_one |g>."""
+
+    @staticmethod
+    def sandwiches(gn, qubit):
+        n, k = len(gn.outputs), gn.num_vars
+        pg = _project_one(gn, qubit)
+        new = compose(adjoint(pg), pg)
+        ref = compose(adjoint(gn), compose(projector_one(n, qubit), gn))
+        assert (new.num_vars, ref.num_vars) == (2 * k + n + 2, 2 * k + 3 * n - 1)
+        return new, ref
+
+    def test_shape(self):
+        c = random_circuit(4, 30, seed=3)
+        gn, _ = normalize(interpret(c, "0110"))
+        for q in range(4):
+            pg = _project_one(gn, q)
+            assert pg.num_vars == gn.num_vars + 1
+            assert pg.scalar == gn.scalar.times_pow2(-1)
+            assert pg.outputs[q] == BoolPoly.one()
+            assert pg.outputs[:q] + pg.outputs[q + 1:] == \
+                gn.outputs[:q] + gn.outputs[q + 1:]
+            assert evaluate(pg) == evaluate(
+                compose(projector_one(4, q), gn)), q
+
+    def test_same_value_as_projector_sandwich_on_benchmark_pools(self):
+        # every qubit of the random-measure workload's pool states
+        pools = [(12, 200, q) for q in POOL12] + [(16, 300, q) for q in POOL16]
+        compared = refused = 0
+        for n, depth, (cseed, bits, _) in pools:
+            c = random_circuit(n, depth, seed=cseed)
+            gn, _ = normalize(interpret(c, bits))
+            for q in range(n):
+                values = []
+                for f in self.sandwiches(gn, q):
+                    try:
+                        values.append(_closed_value(f, 22)[0])
+                    except EvalGuardError:  # 4 residuals of 25 variables
+                        values.append(None)
+                new, ref = values
+                if ref is None:
+                    refused += 1
+                    continue
+                # the new sandwich answers wherever the reference does
+                assert new == ref, (n, cseed, bits, q)
+                compared += 1
+        # 412 of the 416 sandwiches are answered; every state keeps variables
+        assert compared >= 400 and refused <= 4, (compared, refused)
+
+    def test_matches_oracle_on_small_states(self):
+        rng = random.Random(97)
+        for i in range(30):
+            n = rng.randint(1, 6)
+            c = random_circuit(n, rng.randint(1, 20),
+                               max_controls=min(2, n - 1), seed=i + 700)
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            gn, _ = normalize(interpret(c, bits))
+            vec = statevector_oracle(c, bits)
+            for q in range(n):
+                new, ref = self.sandwiches(gn, q)
+                want = marginal_one(vec, n, q)
+                assert evaluate(new)[0, 0] == evaluate(ref)[0, 0] == want, (i, q)
+
+
 class TestRecoverShift:
     def test_two_qubit_instance(self):
         c = hidden_shift_circuit(HiddenShiftSpec(n=2, shift=(1, 0)))
@@ -211,6 +281,19 @@ class TestRecoverShift:
                 sandwich = evaluate(nf)[0, 0]
                 assert res.per_qubit_probability[i].exact == sandwich, (n, i)
                 assert sandwich == marginal_one(vec, n, i), (n, i)
+
+    def test_state_on_input_collapses_in_one_step_per_hadamard(self):
+        rng = random.Random(96)
+        for n in (16, 32, 64, 128):
+            spec = random_hidden_shift_spec(n, rng)
+            c = hidden_shift_circuit(spec)
+            hs = sum(1 for g in c.gates if g.kind == "h")
+            g = interpret(c, (0,) * n)
+            assert g.num_vars == hs == 3 * n
+            nf, trace = normalize(g)
+            assert nf.num_vars == 0 and len(trace) == hs
+            assert tuple(len(p.monomials) for p in nf.outputs) == spec.shift
+            assert recover_shift(c).rewrite_steps_total == hs
 
     def test_full_reduction_of_state_sum(self):
         rng = random.Random(94)

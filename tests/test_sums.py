@@ -5,6 +5,7 @@ Kronecker, adjoint to transpose) are checked exactly on random sums;
 circuit interpretation is checked against the dense oracle.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -385,6 +386,74 @@ class TestInterpret:
             s = interpret(c)
             assert s.num_vars == n + hs
             assert s.scalar == Scalar.pow2(-hs)
+
+
+class TestInterpretOnInput:
+    """``interpret(c, x)``: wires start as the constants of x."""
+
+    @staticmethod
+    def inputs(n):
+        return [tuple(xv >> (n - 1 - j) & 1 for j in range(n))
+                for xv in range(1 << n)]
+
+    def test_equals_ket_composition_on_every_input(self):
+        rng = random.Random(41)
+        for i in range(40):
+            n = rng.randint(1, 6)
+            c = random_circuit(n, rng.randint(0, 14),
+                               max_controls=min(2, n - 1), seed=i + 500)
+            hs = sum(1 for g in c.gates if g.kind == "h")
+            for bits in self.inputs(n):
+                s = interpret(c, bits)
+                assert (s.num_vars, s.signature) == (hs, (0, n))
+                assert s.scalar == Scalar.pow2(-hs)
+                assert evaluate(s) == evaluate(
+                    compose(interpret(c), ket(bits))), (i, bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits(max_qubits=5, max_gates=12), st.data())
+    def test_matches_oracle_property(self, c, data):
+        n = c.num_qubits
+        bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+        assert evaluate(interpret(c, bits)).column(0) == \
+            statevector_oracle(c, bits)
+
+    def test_rejects_wrong_width(self):
+        c = Circuit(3, (Gate("h", (0,)),))
+        for bits in ("01", "0101", (0, 1), ()):
+            with pytest.raises(ValueError, match="width 3"):
+                interpret(c, bits)
+
+    def test_rejects_non_bits(self):
+        c = Circuit(2, ())
+        for bits in ("0a", "12", "0 1", (0, 2), (1, -1)):
+            with pytest.raises(ValueError, match="0/1|0 or 1"):
+                interpret(c, bits)
+
+    def test_accepts_bool_and_int_sequences(self):
+        c = random_circuit(3, 12, seed=8)
+        want = interpret(c, "101")
+        for bits in ((1, 0, 1), [1, 0, 1], (True, False, True)):
+            assert to_json(interpret(c, bits)) == to_json(want)
+
+    def test_no_argument_form_is_unchanged(self):
+        c = random_circuit(5, 40, seed=9)
+        assert to_json(interpret(c, None)) == to_json(interpret(c)) \
+            == to_json(reference_interpret(c))
+
+
+class TestFoldGenerator:
+    def test_output_is_pinned(self):
+        # the confluence fuzz builds its sums with compose, ket, bra and
+        # the no-argument interpret; their output is pinned so the fuzz
+        # keeps the same redexes
+        digest = hashlib.sha256()
+        for seed in range(1000):
+            a = random_path_sum_from_circuit(random.Random(seed))
+            digest.update(to_json(a).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "6101825aa4ffff25c81ae87af2e838d9542ac9010dc18e2fd5728f6f76fedf17")
 
 
 class TestSimpleTransform:
