@@ -23,6 +23,19 @@ def mask_bits(mask: int) -> list[int]:
     return out
 
 
+def mask_product(a: Iterable[int], b: Iterable[int]) -> set[int]:
+    """Monomial masks of the product of two polynomials given as masks."""
+    acc: set[int] = set()
+    for ma in a:
+        for mb in b:
+            m = ma | mb
+            if m in acc:
+                acc.remove(m)
+            else:
+                acc.add(m)
+    return acc
+
+
 def _toggle_fold(masks: Iterable[int]) -> frozenset[int]:
     acc: set[int] = set()
     for m in masks:
@@ -75,32 +88,13 @@ class BoolPoly:
     def constant(cls, bit: int) -> "BoolPoly":
         return _ONE if bit & 1 else _ZERO
 
-    @classmethod
-    def of(cls, *terms: Iterable[int]) -> "BoolPoly":
-        """Build from variable-index tuples, e.g. of((0, 1), (2,), ())."""
-        masks = []
-        for term in terms:
-            m = 0
-            for v in term:
-                m |= 1 << v
-            masks.append(m)
-        return cls(_toggle_fold(masks))
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "BoolPoly") -> "BoolPoly":
         return BoolPoly(self.monomials ^ other.monomials)
 
     def __mul__(self, other: "BoolPoly") -> "BoolPoly":
-        acc: set[int] = set()
-        for a in self.monomials:
-            for b in other.monomials:
-                m = a | b
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
-        return BoolPoly(frozenset(acc))
+        return BoolPoly(frozenset(mask_product(self.monomials, other.monomials)))
 
     def __bool__(self):
         return bool(self.monomials)
@@ -118,9 +112,6 @@ class BoolPoly:
         if not self.monomials:
             return -1
         return max(m.bit_count() for m in self.monomials)
-
-    def vars(self) -> frozenset[int]:
-        return frozenset(mask_bits(self.vars_mask))
 
     def mentions(self, v: int) -> bool:
         return bool(self.vars_mask >> v & 1)
@@ -145,28 +136,6 @@ class BoolPoly:
             return self
         left, rest = self.cofactor(v)
         return replacement * left + rest
-
-    def eval_at(self, assignment: Mapping[int, int]) -> int:
-        """Value in GF(2) at a point covering every variable of p."""
-        point = 0
-        for i, b in assignment.items():
-            if b not in (0, 1):
-                raise ValueError(f"assignment for x{i} must be 0 or 1")
-            if b:
-                point |= 1 << i
-        leftover = self.vars_mask & ~_assigned_mask(assignment)
-        if leftover:
-            missing = mask_bits(leftover)
-            raise ValueError(f"missing assignment for variable(s) {missing}")
-        return self.eval_mask(point)
-
-    def eval_mask(self, point: int) -> int:
-        """Value at the point given as a bitmask of variable values."""
-        parity = 0
-        for m in self.monomials:
-            if m & point == m:
-                parity ^= 1
-        return parity
 
     def apply_simple_map(self, phi: Mapping[int, tuple[int, int]]) -> "BoolPoly":
         """Rename variables, optionally negating: v -> x_w or x_w + 1."""
@@ -256,13 +225,6 @@ class BoolPoly:
 
     def __repr__(self):
         return f"BoolPoly({self})"
-
-
-def _assigned_mask(assignment: Mapping[int, int]) -> int:
-    mask = 0
-    for i in assignment:
-        mask |= 1 << i
-    return mask
 
 
 _ZERO = BoolPoly(frozenset())

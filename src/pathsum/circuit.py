@@ -86,20 +86,6 @@ class Circuit:
         return len(self.gates)
 
 
-@dataclass(frozen=True)
-class Volume:
-    gate_count: int
-    qubit_count: int
-    volume: int
-
-
-def volume(circuit: Circuit) -> Volume:
-    """Size parameter gate count x qubit count (and its factors)."""
-    k = len(circuit.gates)
-    n = circuit.num_qubits
-    return Volume(gate_count=k, qubit_count=n, volume=k * n)
-
-
 # ---------------------------------------------------------------------------
 # text format
 
@@ -239,6 +225,8 @@ class HiddenShiftSpec:
             object.__setattr__(self, "pi", tuple(self.pi))
         if self.n < 2 or self.n % 2:
             raise ValueError("qubit count must be even and at least 2")
+        if self.n > MAX_QUBITS:  # parse would refuse the circuit
+            raise ValueError(f"{self.n} qubits exceed the maximum of {MAX_QUBITS}")
         half = self.n // 2
         if len(self.shift) != self.n or any(b not in (0, 1) for b in self.shift):
             raise ValueError(f"shift must be a bit vector of length {self.n}")
@@ -295,21 +283,3 @@ def hidden_shift_circuit(spec: HiddenShiftSpec) -> Circuit:
         gates.append(Gate(CMZ, tuple(sorted(pi_inv[a] for a in mono))))
     h_layer()
     return Circuit(n, tuple(gates))
-
-
-def random_hidden_shift_spec(n: int, rng: random.Random,
-                             max_g_monomials: int = 4,
-                             permute: bool = True) -> HiddenShiftSpec:
-    """Random instance parameters: shift, g of small monomials, optional pi."""
-    half = n // 2
-    shift = tuple(rng.randrange(2) for _ in range(n))
-    monos = set()
-    for _ in range(rng.randrange(max_g_monomials + 1)):
-        size = rng.randrange(1, min(3, half) + 1)
-        monos.add(tuple(sorted(rng.sample(range(half), size))))
-    pi = None
-    if permute and rng.randrange(2):
-        perm = list(range(half))
-        rng.shuffle(perm)
-        pi = tuple(perm)
-    return HiddenShiftSpec(n=n, g_monomials=frozenset(monos), shift=shift, pi=pi)

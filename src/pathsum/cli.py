@@ -88,6 +88,15 @@ def _emit(args, human_lines: list[str], payload: dict):
             print(line)
 
 
+def _emit_exact(args, name: str, value) -> None:
+    """An exact result (an ``Amplitude``): its value and decimal lines, or
+    one JSON object with the value under ``name``."""
+    _emit(args,
+          [f"{name}: {value.render()}", f"decimal: {value.decimal()}"],
+          {name: {"num": value.num, "half_exp": value.half_exp},
+           "render": value.render(), "decimal": value.decimal()})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -95,11 +104,8 @@ def cmd_amp(args) -> int:
     circ = _read_circuit(args.circuit)
     x = _bits(args.in_bits, circ.num_qubits, "--in")
     y = _bits(args.out_bits, circ.num_qubits, "--out")
-    amp = strong_sim(circ, x, y, max_eval_vars=args.max_eval_vars)
-    _emit(args,
-          [f"amplitude: {amp.render()}", f"decimal: {amp.decimal()}"],
-          {"amplitude": {"num": amp.num, "half_exp": amp.half_exp},
-           "render": amp.render(), "decimal": amp.decimal()})
+    _emit_exact(args, "amplitude",
+                strong_sim(circ, x, y, max_eval_vars=args.max_eval_vars))
     return EXIT_OK
 
 
@@ -108,12 +114,8 @@ def cmd_measure(args) -> int:
     x = _bits(args.in_bits, circ.num_qubits, "--in")
     if not 0 <= args.qubit < circ.num_qubits:
         _fail(f"--qubit {args.qubit} out of range for {circ.num_qubits} qubits")
-    prob = measure_sim(circ, x, args.qubit, max_eval_vars=args.max_eval_vars)
-    amp = prob.exact
-    _emit(args,
-          [f"probability: {amp.render()}", f"decimal: {amp.decimal()}"],
-          {"probability": {"num": amp.num, "half_exp": amp.half_exp},
-           "render": amp.render(), "decimal": amp.decimal()})
+    _emit_exact(args, "probability",
+                measure_sim(circ, x, args.qubit, max_eval_vars=args.max_eval_vars))
     return EXIT_OK
 
 
@@ -180,16 +182,11 @@ def cmd_normalize(args) -> int:
     strategy = (DETERMINISTIC_FIRST if args.strategy == "first"
                 else seeded_random(args.seed))
     nf, trace = normalize(s, strategy)
+    lines = trace_lines(trace) if args.trace else []
     payload = {"path_sum": to_dict(nf)}
     if args.trace:
-        payload["trace"] = trace_lines(trace)
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        if args.trace:
-            for line in trace_lines(trace):
-                print(line)
-        print(json.dumps(to_dict(nf)))
+        payload["trace"] = lines
+    _emit(args, lines + [json.dumps(payload["path_sum"])], payload)
     return EXIT_OK
 
 

@@ -47,15 +47,9 @@ class Scalar:
             return Scalar.ZERO
         return Scalar(False, self.half_exp + other.half_exp)
 
-    def doubled(self) -> "Scalar":
-        return self if self.zero else Scalar(False, self.half_exp + 2)
-
     def times_pow2(self, exponent: int) -> "Scalar":
         """Multiply by 2^exponent (an integer power)."""
         return self if self.zero else Scalar(False, self.half_exp + 2 * exponent)
-
-    def conjugate(self) -> "Scalar":
-        return self  # real-valued fragment
 
     def __float__(self) -> float:
         if self.zero:

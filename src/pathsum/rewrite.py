@@ -199,7 +199,7 @@ def apply(a: PathSum, step: RewriteStep) -> PathSum:
         raise StaleStepError(f"{step.rule.value} does not apply at variable {x}")
 
     if step.rule is Rule.ELIM:
-        return PathSum(a.scalar.doubled(), k - 1, a.phase.squeezed(x),
+        return PathSum(a.scalar.times_pow2(1), k - 1, a.phase.squeezed(x),
                        tuple(p.squeezed(x) for p in a.outputs),
                        tuple(p.squeezed(x) for p in a.inputs))
 

@@ -25,10 +25,10 @@ from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, adjoint, as_bits, bra,
 class NonDeterministicOutcomeError(RuntimeError):
     """A per-qubit probability was not exactly 0 or 1 during shift recovery."""
 
-    def __init__(self, qubit: int, probability: "Probability"):
+    def __init__(self, qubit: int, probability: Amplitude):
         super().__init__(
             f"qubit {qubit} measures 1 with probability "
-            f"{probability.exact.render()}, not 0 or 1: the circuit is not "
+            f"{probability.render()}, not 0 or 1: the circuit is not "
             f"deterministic on |0...0>"
         )
         self.qubit = qubit
@@ -40,27 +40,9 @@ class SimulationConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Probability:
-    exact: Amplitude
-
-    @property
-    def decimal(self) -> float:
-        return float(self.exact)
-
-    def is_zero(self) -> bool:
-        return self.exact.is_zero()
-
-    def is_one(self) -> bool:
-        return self.exact.is_one()
-
-    def __str__(self):
-        return self.exact.render()
-
-
-@dataclass(frozen=True)
 class ShiftResult:
     shift: tuple[int, ...]
-    per_qubit_probability: tuple[Probability, ...]
+    per_qubit_probability: tuple[Amplitude, ...]
     rewrite_steps_total: int
 
     def shift_string(self) -> str:
@@ -106,7 +88,7 @@ def _closed_value(f: PathSum, max_eval_vars: int) -> tuple[Amplitude, int]:
 
 
 def _probability_one(gn: PathSum, qubit: int,
-                     max_eval_vars: int) -> tuple[Probability, int]:
+                     max_eval_vars: int) -> tuple[Amplitude, int]:
     """Pr[qubit = 1] in the normalized state sum gn, and the steps taken.
 
     A state with no variables left is scalar*|b>, so the probability is
@@ -124,7 +106,7 @@ def _probability_one(gn: PathSum, qubit: int,
     if amp.num < 0 or Amplitude(1) < amp:
         raise SimulationConsistencyError(
             f"probability {amp.render()} outside [0, 1]")
-    return Probability(amp), steps
+    return amp, steps
 
 
 def strong_sim(circuit: Circuit, in_bits, out_bits,
@@ -144,8 +126,9 @@ def strong_sim(circuit: Circuit, in_bits, out_bits,
 
 
 def measure_sim(circuit: Circuit, in_bits, qubit: int,
-                max_eval_vars: int = DEFAULT_MAX_EVAL_VARS) -> Probability:
-    """Exact probability that the given qubit measures 1 on this input.
+                max_eval_vars: int = DEFAULT_MAX_EVAL_VARS) -> Amplitude:
+    """Exact probability, as an ``Amplitude``, that the given qubit
+    measures 1 on this input.
 
     The guard bounds the projector sandwich's variables after
     normalization and affine elimination, as in ``strong_sim``.

@@ -4,8 +4,8 @@ A path sum holds a scalar, a count of summation variables, a phase
 polynomial and tuples of output/input polynomials; it denotes the
 operator  scalar * sum over assignments of (-1)^phase |outputs><inputs|.
 This module provides the categorical structure (compose, tensor,
-adjoint, identities, kets/bras), the gate interpretations, circuit
-interpretation, and dense exact evaluation.
+adjoint, identities, kets/bras), circuit interpretation, and dense
+exact evaluation.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .boolpoly import BoolPoly, mask_bits
-from .circuit import CMZ, Circuit, Gate, H, SWAP, X
+from .boolpoly import BoolPoly, mask_bits, mask_product
+from .circuit import CMZ, Circuit, H, X
 from .exact import Amplitude, Scalar
 
 #: dense evaluation refuses sums with more variables than this by default;
@@ -170,24 +170,9 @@ def tensor(a: PathSum, b: PathSum) -> PathSum:
 
 
 def adjoint(a: PathSum) -> PathSum:
-    return PathSum(a.scalar.conjugate(), a.num_vars, a.phase,
-                   a.inputs, a.outputs)
-
-
-def apply_simple_transform(a: PathSum, phi: Mapping[int, tuple[int, int]]) -> PathSum:
-    """Apply a variable bijection with per-variable negations uniformly."""
-    k = a.num_vars
-    if sorted(phi) != list(range(k)):
-        raise ValueError(f"map must cover exactly variables 0..{k - 1}")
-    targets = sorted(w for w, _ in phi.values())
-    if targets != list(range(k)):
-        raise ValueError("map targets must be a permutation of the variables")
-    return PathSum(
-        a.scalar, k,
-        a.phase.apply_simple_map(phi),
-        tuple(p.apply_simple_map(phi) for p in a.outputs),
-        tuple(p.apply_simple_map(phi) for p in a.inputs),
-    )
+    """Inputs and outputs exchanged; every value in the fragment is real,
+    so the scalar and the phase stay as they are."""
+    return PathSum(a.scalar, a.num_vars, a.phase, a.inputs, a.outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +194,6 @@ class Matrix:
         z = Amplitude(0)
         return cls(rows, cols, [[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, size: int) -> "Matrix":
-        m = cls.zeros(size, size)
-        one = Amplitude(1)
-        for i in range(size):
-            m.entries[i][i] = one
-        return m
-
     def __getitem__(self, key: tuple[int, int]) -> Amplitude:
         r, c = key
         return self.entries[r][c]
@@ -226,40 +203,6 @@ class Matrix:
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
                 and self.entries == other.entries)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = Matrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            for j in range(other.cols):
-                acc = Amplitude(0)
-                for t in range(self.cols):
-                    acc = acc + row[t] * other.entries[t][j]
-                out.entries[i][j] = acc
-        return out
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        out = Matrix.zeros(self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i][j]
-                for p in range(other.rows):
-                    for q in range(other.cols):
-                        out.entries[i * other.rows + p][j * other.cols + q] = \
-                            a * other.entries[p][q]
-        return out
-
-    def dagger(self) -> "Matrix":
-        out = Matrix.zeros(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[j][i] = self.entries[i][j]  # real entries
-        return out
-
-    def column(self, j: int) -> list[Amplitude]:
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def __repr__(self):
         body = "; ".join(
@@ -341,26 +284,6 @@ def evaluate(a: PathSum, max_vars: int = DEFAULT_MAX_EVAL_VARS) -> Matrix:
 # ---------------------------------------------------------------------------
 # gates and circuits
 
-def gate_sem(gate: Gate) -> PathSum:
-    """The defining path sum of one gate, on its own wires."""
-    if gate.kind == H:
-        x, y = BoolPoly.var(0), BoolPoly.var(1)
-        return PathSum(Scalar.pow2(-1), 2, x * y, (y,), (x,))
-    if gate.kind == X:
-        x = BoolPoly.var(0)
-        return PathSum(Scalar.ONE, 1, BoolPoly.zero(),
-                       (x + BoolPoly.one(),), (x,))
-    if gate.kind == CMZ:
-        arity = len(gate.qubits)
-        wires = tuple(BoolPoly.var(i) for i in range(arity))
-        phase = BoolPoly(frozenset(((1 << arity) - 1,)))
-        return PathSum(Scalar.ONE, arity, phase, wires, wires)
-    if gate.kind == SWAP:
-        x, y = BoolPoly.var(0), BoolPoly.var(1)
-        return PathSum(Scalar.ONE, 2, BoolPoly.zero(), (y, x), (x, y))
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
-
-
 def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     """Direct per-wire interpretation (Amy, QPL 2018).
 
@@ -400,15 +323,7 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
         elif gate.kind == CMZ:
             prod = out[qs[0]]
             for q in qs[1:]:
-                acc: set[int] = set()
-                for a in prod:
-                    for b in out[q]:
-                        mm = a | b
-                        if mm in acc:
-                            acc.remove(mm)
-                        else:
-                            acc.add(mm)
-                prod = acc
+                prod = mask_product(prod, out[q])
             phase ^= prod
         else:  # SWAP
             out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]

@@ -1,0 +1,160 @@
+"""References the tests compare the engine against, and their generators.
+
+None of this is in the package: dense matrix algebra for the
+homomorphism laws, each gate's defining sum, variable renamings, point
+evaluation of polynomials, and random sums, circuits and instances.
+"""
+
+from hypothesis import strategies as st
+
+from pathsum.boolpoly import BoolPoly
+from pathsum.circuit import Circuit, Gate, HiddenShiftSpec
+from pathsum.exact import Amplitude, Scalar
+from pathsum.sums import Matrix, PathSum
+
+
+def bits_to_index(bits):
+    """Big-endian index of a bit sequence: qubit 0 is the top bit."""
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | b
+    return idx
+
+
+def poly_of(*terms):
+    """The polynomial with these monomials, as variable-index tuples:
+    poly_of((0, 1), (2,), ()) is x0*x1 + x2 + 1 (x*x = x, and equal
+    monomials cancel)."""
+    return BoolPoly([sum(1 << v for v in set(term)) for term in terms])
+
+
+def eval_mask(p, point):
+    """Value of p in GF(2) at the point given as a bitmask of variables."""
+    return sum(m & point == m for m in p.monomials) & 1
+
+
+def identity_matrix(size):
+    return Matrix(size, size, [[Amplitude(int(i == j)) for j in range(size)]
+                               for i in range(size)])
+
+
+def column(m, j):
+    return [row[j] for row in m.entries]
+
+
+def matmul(a, b):
+    assert a.cols == b.rows
+    return Matrix(a.rows, b.cols, [
+        [sum((x * y for x, y in zip(row, col)), Amplitude(0))
+         for col in zip(*b.entries)] for row in a.entries])
+
+
+def kron(a, b):
+    p, q = b.rows, b.cols
+    return Matrix(a.rows * p, a.cols * q, [
+        [a.entries[i // p][j // q] * b.entries[i % p][j % q]
+         for j in range(a.cols * q)] for i in range(a.rows * p)])
+
+
+def dagger(a):
+    """Transpose; every entry is real."""
+    return Matrix(a.cols, a.rows, [list(col) for col in zip(*a.entries)])
+
+
+def gate_sem(gate):
+    """The defining path sum of one gate, on its own wires."""
+    if gate.kind == "h":
+        x, y = BoolPoly.var(0), BoolPoly.var(1)
+        return PathSum(Scalar.pow2(-1), 2, x * y, (y,), (x,))
+    if gate.kind == "x":
+        x = BoolPoly.var(0)
+        return PathSum(Scalar.ONE, 1, BoolPoly.zero(),
+                       (x + BoolPoly.one(),), (x,))
+    if gate.kind == "z":
+        arity = len(gate.qubits)
+        wires = tuple(BoolPoly.var(i) for i in range(arity))
+        return PathSum(Scalar.ONE, arity, BoolPoly([(1 << arity) - 1]),
+                       wires, wires)
+    x, y = BoolPoly.var(0), BoolPoly.var(1)  # swap
+    return PathSum(Scalar.ONE, 2, BoolPoly.zero(), (y, x), (x, y))
+
+
+def apply_simple_transform(a, phi):
+    """Apply a variable bijection with per-variable negations uniformly."""
+    k = a.num_vars
+    if sorted(phi) != list(range(k)):
+        raise ValueError(f"map must cover exactly variables 0..{k - 1}")
+    if sorted(w for w, _ in phi.values()) != list(range(k)):
+        raise ValueError("map targets must be a permutation of the variables")
+    return PathSum(a.scalar, k, a.phase.apply_simple_map(phi),
+                   tuple(p.apply_simple_map(phi) for p in a.outputs),
+                   tuple(p.apply_simple_map(phi) for p in a.inputs))
+
+
+def _random_poly(rng, num_vars, terms, max_degree=3):
+    masks = []
+    for _ in range(terms):
+        degree = min(rng.choice((0, 1, 1, 1, 2, 2, 3)), max_degree, num_vars)
+        m = 0
+        for v in rng.sample(range(num_vars), degree) if degree else ():
+            m |= 1 << v
+        masks.append(m)
+    return BoolPoly(masks)
+
+
+def random_path_sum(rng, max_vars=8, max_wires=3, n_in=None, n_out=None):
+    """Directly sampled sum: arbitrary phase/wire polynomials, small."""
+    k = rng.randint(0, max_vars)
+    if n_out is None:
+        n_out = rng.randint(0, max_wires)
+    if n_in is None:
+        n_in = rng.randint(0, max_wires)
+    phase = _random_poly(rng, k, rng.randint(0, k + 2))
+    outputs = tuple(_random_poly(rng, k, rng.randint(0, 2), max_degree=2)
+                    for _ in range(n_out))
+    inputs = tuple(_random_poly(rng, k, rng.randint(0, 2), max_degree=2)
+                   for _ in range(n_in))
+    return PathSum(Scalar.pow2(rng.randint(-6, 6)), k, phase, outputs, inputs)
+
+
+def random_hidden_shift_spec(n, rng):
+    """Random instance parameters: shift, up to 4 small monomials of g,
+    and a random coordinate permutation half of the time."""
+    half = n // 2
+    shift = tuple(rng.randrange(2) for _ in range(n))
+    monos = set()
+    for _ in range(rng.randrange(5)):
+        size = rng.randrange(1, min(3, half) + 1)
+        monos.add(tuple(sorted(rng.sample(range(half), size))))
+    pi = None
+    if rng.randrange(2):
+        perm = list(range(half))
+        rng.shuffle(perm)
+        pi = tuple(perm)
+    return HiddenShiftSpec(n=n, g_monomials=frozenset(monos), shift=shift, pi=pi)
+
+
+@st.composite
+def path_sums(draw, max_vars=7):
+    """Small sums with up to 3 in and 3 out wires; shrinks termwise."""
+    k = draw(st.integers(0, max_vars))
+    term = st.lists(st.integers(0, k - 1), max_size=3) if k else st.just([])
+    poly = lambda size: st.lists(term, max_size=size).map(
+        lambda terms: poly_of(*terms))
+    return PathSum(Scalar.pow2(draw(st.integers(-4, 4))), k, draw(poly(8)),
+                   draw(st.lists(poly(2), max_size=3)),
+                   draw(st.lists(poly(2), max_size=3)))
+
+
+@st.composite
+def circuits(draw, max_qubits=6, max_gates=20):
+    """Random circuits over the whole gate set, at most two controls."""
+    n = draw(st.integers(1, max_qubits))
+    arities = [("h", 1), ("x", 1), ("z", 1)]
+    arities += [("z", m) for m in (2, 3) if m <= n]
+    if n >= 2:
+        arities.append(("swap", 2))
+    gate = st.sampled_from(arities).flatmap(lambda ka: st.lists(
+        st.integers(0, n - 1), min_size=ka[1], max_size=ka[1], unique=True
+    ).map(lambda qs: Gate(ka[0], tuple(qs))))
+    return Circuit(n, tuple(draw(st.lists(gate, max_size=max_gates))))

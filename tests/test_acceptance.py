@@ -16,27 +16,20 @@ from itertools import combinations
 import pytest
 
 from pathsum.boolpoly import BoolPoly
-from pathsum.circuit import (HiddenShiftSpec, hidden_shift_circuit,
-                             random_circuit, volume)
+from pathsum.circuit import HiddenShiftSpec, hidden_shift_circuit, random_circuit
 from pathsum.exact import Scalar
-from pathsum.fuzz import random_path_sum
 from pathsum.oracle import marginal_one, statevector_oracle
 from pathsum.rewrite import (DETERMINISTIC_FIRST, Rule, find_rewrites,
                              normalize, seeded_random, simply_equivalent)
 from pathsum.sim import measure_sim, recover_shift, strong_sim
 from pathsum.sums import (PathSum, adjoint, compose, evaluate, interpret,
                           ket, tensor)
+from support import (bits_to_index, column, dagger, kron, matmul, poly_of,
+                     random_path_sum)
 
 SIZES = (2, 4, 6, 8, 12, 16)
 N_HIDDEN_SHIFT = 100
 N_RANDOM_CIRCUITS = 200
-
-
-def bits_to_index(bits):
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
 
 
 def make_hidden_shift_specs(count, rng):
@@ -177,7 +170,7 @@ def test_criterion_4_oracle_equivalence(circuit_pool):
         for xv in range(1 << n):
             xb = tuple(xv >> (n - 1 - j) & 1 for j in range(n))
             vec = statevector_oracle(circ, xb)
-            assert mat.column(xv) == vec, (ci, xv)
+            assert column(mat, xv) == vec, (ci, xv)
             pair_count += 1 << n
         # the strong-simulation entry point: sampled pairs by default,
         # every pair under PATHSUM_ACCEPTANCE_EXHAUSTIVE=1 (slow)
@@ -197,7 +190,7 @@ def test_criterion_4_oracle_equivalence(circuit_pool):
             xb = tuple(rng.randrange(2) for _ in range(n))
             vec = statevector_oracle(circ, xb)
             for q in sorted(rng.sample(range(n), min(3, n))):
-                assert measure_sim(circ, xb, q).exact == \
+                assert measure_sim(circ, xb, q) == \
                     marginal_one(vec, n, q), (ci, xb, q)
                 api_samples += 1
     elapsed = time.perf_counter() - t0
@@ -241,9 +234,9 @@ def test_criterion_6_soundness_suite():
             continue
         ea = evaluate(a, 16)
         eb = evaluate(b, 16)
-        assert evaluate(compose(a, b), 16) == ea @ eb
-        assert evaluate(tensor(a, b), 16) == ea.kron(eb)
-        assert evaluate(adjoint(a), 16) == ea.dagger()
+        assert evaluate(compose(a, b), 16) == matmul(ea, eb)
+        assert evaluate(tensor(a, b), 16) == kron(ea, eb)
+        assert evaluate(adjoint(a), 16) == dagger(ea)
         done += 1
     print(f"\ncriterion 6: PASS - homomorphism laws exact on {done} pairs")
 
@@ -263,7 +256,7 @@ def _timed_recovery(n, seed):
         result = recover_shift(circ)
         best = min(best, time.perf_counter() - t0)
         assert result.shift == spec.shift
-    return volume(circ).volume, best
+    return len(circ.gates) * circ.num_qubits, best
 
 
 def test_criterion_7_size_bounds_and_runtime_trend(circuit_pool,
@@ -301,7 +294,7 @@ def test_criterion_8_negative_control():
     disabled: a pivot multiplying (y + z + w) admits nothing, and only
     the two pivots with single-variable cofactors rewrite."""
     w, x, y, z = 0, 1, 2, 3
-    phase = BoolPoly.of((x, y), (x, z), (x, w), (y,))
+    phase = poly_of((x, y), (x, z), (x, w), (y,))
     s = PathSum(Scalar.pow2(-5), 4, phase, (BoolPoly.var(y),), ())
     steps = find_rewrites(s)
     assert all(st.rule is Rule.HH for st in steps)

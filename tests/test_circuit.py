@@ -4,34 +4,12 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pathsum.circuit import (MAX_QUBITS, Circuit, CircuitParseError, Gate,
                              HiddenShiftSpec, hidden_shift_circuit, parse,
-                             random_circuit,
-                             random_hidden_shift_spec, serialize, volume)
+                             random_circuit, serialize)
 from pathsum.oracle import statevector_oracle
-
-
-@st.composite
-def circuits(draw, max_qubits=6, max_gates=20):
-    """Random circuits over the whole gate set, at most two controls."""
-    n = draw(st.integers(1, max_qubits))
-    arities = [("h", 1), ("x", 1), ("z", 1)]
-    arities += [("z", m) for m in (2, 3) if m <= n]
-    if n >= 2:
-        arities.append(("swap", 2))
-    gate = st.sampled_from(arities).flatmap(lambda ka: st.lists(
-        st.integers(0, n - 1), min_size=ka[1], max_size=ka[1], unique=True
-    ).map(lambda qs: Gate(ka[0], tuple(qs))))
-    return Circuit(n, tuple(draw(st.lists(gate, max_size=max_gates))))
-
-
-def bits_to_index(bits):
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
+from support import bits_to_index, circuits, random_hidden_shift_spec
 
 
 class TestGate:
@@ -181,16 +159,6 @@ class TestRandomCircuit:
             random_circuit(2, 5, max_controls=2)
 
 
-class TestVolume:
-    def test_empty(self):
-        v = volume(Circuit(3, ()))
-        assert (v.gate_count, v.qubit_count, v.volume) == (0, 3, 0)
-
-    def test_product(self):
-        c = random_circuit(2, 5, max_controls=1, seed=0)
-        assert volume(c).volume == 10
-
-
 class TestHiddenShiftSpec:
     def test_validation(self):
         HiddenShiftSpec(n=4, shift=(0, 1, 1, 0))
@@ -205,6 +173,9 @@ class TestHiddenShiftSpec:
             HiddenShiftSpec(n=4, shift=(0,) * 4, g_monomials=frozenset({(2,)}))
         with pytest.raises(ValueError, match="permutation"):
             HiddenShiftSpec(n=4, shift=(0,) * 4, pi=(0, 0))
+        HiddenShiftSpec(n=MAX_QUBITS, shift=(0,) * MAX_QUBITS)
+        with pytest.raises(ValueError, match="4098 qubits exceed the maximum"):
+            HiddenShiftSpec(n=MAX_QUBITS + 2, shift=(0,) * (MAX_QUBITS + 2))
 
 
 class TestHiddenShiftCircuit:

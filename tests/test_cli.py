@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -155,6 +156,53 @@ class TestInProcess:
         assert _build_parser() is _build_parser()
 
 
+#: sha256 of ``normalize --in 000000 --trace --json`` on the README's n = 6
+#: instance, as printed before the CLI's renderers were shared
+NORMALIZE_SHA256 = ("7f4529ac4438ba6f79731aa97b622ea7"
+                    "7db6c11c89756ca9a54f0e19ffa55d68")
+
+
+class TestPinnedOutput:
+    def test_exact_results_and_normal_form(self, h_circuit, tmp_path, capsys):
+        from pathsum.cli import main
+        hs = str(tmp_path / "hs.pathsum")
+        assert main(["hidden-shift-gen", "--n", "6", "--shift", "011010",
+                     "--g", "0,1,2", "-o", hs]) == 0
+        capsys.readouterr()
+
+        def out(*argv, circuit=hs):
+            assert main([*argv, "--circuit", circuit]) == 0
+            return capsys.readouterr().out
+
+        def exact(name, num, half_exp, render, decimal):
+            return (f"{name}: {render}\ndecimal: {decimal}\n",
+                    f'{{"{name}": {{"num": {num}, "half_exp": {half_exp}}}, '
+                    f'"render": "{render}", "decimal": "{decimal}"}}\n')
+
+        cases = [
+            (("amp", "--in", "000000", "--out", "011010"), hs,
+             exact("amplitude", 1, 0, "1", "1")),
+            (("measure", "--in", "000000", "--qubit", "0"), hs,
+             exact("probability", 0, 0, "0", "0")),
+            (("measure", "--in", "000000", "--qubit", "1"), hs,
+             exact("probability", 1, 0, "1", "1")),
+            (("amp", "--in", "0", "--out", "1"), h_circuit,
+             exact("amplitude", 1, -1, "1 * 2^(-1/2)", "0.707106781186548")),
+            (("measure", "--in", "0", "--qubit", "0"), h_circuit,
+             exact("probability", 1, -2, "1 * 2^(-1)", "0.5")),
+        ]
+        for argv, circuit, (human, machine) in cases:
+            assert out(*argv, circuit=circuit) == human, argv
+            assert out(*argv, "--json", circuit=circuit) == machine, argv
+        argv = ("normalize", "--in", "000000", "--trace")
+        machine = out(*argv, "--json")
+        assert hashlib.sha256(machine.encode()).hexdigest() == NORMALIZE_SHA256
+        pinned = json.loads(machine)
+        assert len(pinned["trace"]) == 18
+        assert out(*argv) == "".join(line + "\n" for line in pinned["trace"]) \
+            + json.dumps(pinned["path_sum"]) + "\n"
+
+
 class TestMeasure:
     def test_h_half(self, h_circuit):
         r = run("measure", "--circuit", h_circuit, "--in", "0", "--qubit", "0")
@@ -226,6 +274,14 @@ class TestHiddenShift:
     def test_solve_nondeterministic_exits_4(self, h_circuit):
         r = run("hidden-shift-solve", "--circuit", h_circuit)
         assert r.returncode == 4
+
+    def test_gen_refuses_more_qubits_than_parse_accepts(self, tmp_path):
+        out = tmp_path / "huge.pathsum"
+        r = run("hidden-shift-gen", "--n", "4098", "--shift", "0" * 4098,
+                "-o", str(out))
+        assert r.returncode == 2
+        assert "4098 qubits exceed the maximum of 4096" in r.stderr
+        assert not out.exists()
 
     def test_oversized_header_exits_2(self, tmp_path):
         path = tmp_path / "huge.pathsum"

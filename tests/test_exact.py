@@ -26,9 +26,9 @@ class TestScalar:
         assert math.isclose(float(h), 1 / math.sqrt(2))
 
     def test_doubled_and_pow2(self):
-        assert Scalar.ONE.doubled() == Scalar.pow2(2)
+        assert Scalar.ONE.times_pow2(1) == Scalar.pow2(2)
         assert Scalar.ONE.times_pow2(-3) == Scalar.pow2(-6)
-        assert Scalar.ZERO.doubled() == Scalar.ZERO
+        assert Scalar.ZERO.times_pow2(1) == Scalar.ZERO
 
 
 class TestAmplitude:

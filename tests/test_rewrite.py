@@ -13,19 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathsum.boolpoly import BoolPoly
+from pathsum.boolpoly import BoolPoly, mask_bits
 from pathsum.circuit import Gate
 from pathsum.exact import Amplitude, Scalar
-from pathsum.fuzz import random_path_sum, random_path_sum_from_circuit
+from pathsum.fuzz import random_path_sum_from_circuit
 from pathsum.rewrite import (AFFINE_TERM_GROWTH, DETERMINISTIC_FIRST,
                              RewriteStep, Rule, StaleStepError, Strategy,
                              VarCapError, apply, find_rewrites, normalize,
                              reduce, seeded_random, simply_equivalent,
                              trace_lines)
 from pathsum.sums import (EvalGuardError, Matrix, PathSum, compose, evaluate,
-                          gate_sem, identity, interpret, ket, tensor, to_json,
-                          zero_op)
-from test_sums import path_sums
+                          identity, interpret, ket, tensor, to_json, zero_op)
+from support import (apply_simple_transform, gate_sem, path_sums, poly_of,
+                     random_path_sum)
 
 x0, x1, x2, x3 = (BoolPoly.var(i) for i in range(4))
 one = BoolPoly.one()
@@ -58,7 +58,7 @@ class TestFindRewrites:
         # three-variable cofactor admits nothing, only the two pivots
         # whose cofactor is the single bare variable x do
         w, x, y, z = 0, 1, 2, 3
-        phase = BoolPoly.of((x, y), (x, z), (x, w), (y,))
+        phase = poly_of((x, y), (x, z), (x, w), (y,))
         s = PathSum(Scalar.pow2(-5), 4, phase, (BoolPoly.var(y),), ())
         steps = find_rewrites(s)
         assert [st.rule for st in steps] == [Rule.HH, Rule.HH]
@@ -82,7 +82,7 @@ class TestFindRewrites:
 
     def test_order_elim_z_hh_ascending(self):
         # vars: 0 unused, 1 lone linear, 2 pivots 3 via (x4+...)
-        phase = BoolPoly.of((1,), (2, 3), (2,))
+        phase = poly_of((1,), (2, 3), (2,))
         s = PathSum(Scalar.ONE, 4, phase, (), ())
         steps = find_rewrites(s)
         kinds = [st.rule for st in steps]
@@ -91,7 +91,7 @@ class TestFindRewrites:
         assert steps[1] == RewriteStep(Rule.Z, 1)
 
     def test_both_targets_listed_ascending(self):
-        phase = BoolPoly.of((0, 1), (0, 2))  # x0(x1 + x2)
+        phase = poly_of((0, 1), (0, 2))  # x0(x1 + x2)
         s = PathSum(Scalar.ONE, 3, phase, (), ())
         hh = [st for st in find_rewrites(s) if st.rule is Rule.HH and st.pivot == 0]
         assert [(st.target, st.substituent) for st in hh] == [(1, x2), (2, x1)]
@@ -113,9 +113,9 @@ def reference_rewrites(a: PathSum) -> list[RewriteStep]:
         elif cof == one:
             zs.append(RewriteStep(Rule.Z, x))
         elif cof.degree() <= 1:
-            for y in sorted(cof.vars()):
+            for y in mask_bits(cof.vars_mask):
                 q = cof + BoolPoly.var(y)
-                if len(q.vars()) <= 1 and not q.mentions(y):
+                if q.vars_mask.bit_count() <= 1 and not q.mentions(y):
                     hhs.append(RewriteStep(Rule.HH, x, y, q))
     return elims + zs + hhs
 
@@ -380,7 +380,7 @@ class TestReduce:
         # reduce removes it with its lowest target, y := z + w, after which
         # y*z*w cancels and the rest are ELIMs
         w, x, y, z = 0, 1, 2, 3
-        s = PathSum(Scalar.ONE, 4, BoolPoly.of((x, y), (x, z), (x, w), (y, z, w)),
+        s = PathSum(Scalar.ONE, 4, poly_of((x, y), (x, z), (x, w), (y, z, w)),
                     (), ())
         assert find_rewrites(s) == []
         assert normalize(s) == (s, [])
@@ -398,7 +398,7 @@ class TestReduce:
         terms += [(y, a, b) for a in avars for b in avars if a < b]
         for i, t in enumerate((*zs, u, *vs)):
             terms.append((t, fillers[i % 4], fillers[(i + 1) % 4]))
-        s = PathSum(Scalar.ONE, 29, BoolPoly.of(*terms), (), ())
+        s = PathSum(Scalar.ONE, 29, poly_of(*terms), (), ())
         assert find_rewrites(s) == []
         r = reduce(s)
         assert r.num_vars == 27  # the pivot and y went; pivot 1 is left
@@ -470,7 +470,6 @@ class TestSimplyEquivalent:
     def test_swapped_variables(self):
         a = PathSum(Scalar.ONE, 2, x0 * x1 + x0, (x1,), ())
         phi = {0: (1, 0), 1: (0, 0)}
-        from pathsum.sums import apply_simple_transform
         b = apply_simple_transform(a, phi)
         assert simply_equivalent(a, b)
 
@@ -504,7 +503,6 @@ class TestSimplyEquivalent:
             perm = list(range(k))
             rng.shuffle(perm)
             phi = {v: (perm[v], rng.randrange(2)) for v in range(k)}
-            from pathsum.sums import apply_simple_transform
             b = apply_simple_transform(a, phi)
             assert simply_equivalent(a, b)
             assert evaluate(a, 10) == evaluate(b, 10)
@@ -535,7 +533,6 @@ class TestConfluence:
     def test_beta_property(self):
         # transforming before normalizing lands in the same class
         rng = random.Random(78)
-        from pathsum.sums import apply_simple_transform
         for _ in range(150):
             a = random_path_sum(rng, max_vars=6)
             k = a.num_vars

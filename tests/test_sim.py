@@ -7,28 +7,21 @@ from pathlib import Path
 import pytest
 
 from pathsum.circuit import (Circuit, Gate, HiddenShiftSpec,
-                             hidden_shift_circuit, random_circuit,
-                             random_hidden_shift_spec)
+                             hidden_shift_circuit, random_circuit)
 from pathsum.boolpoly import BoolPoly
 from pathsum.exact import Amplitude, Scalar
 from pathsum.oracle import marginal_one, statevector_oracle
 from pathsum.rewrite import find_rewrites, normalize, reduce
-from pathsum.sim import (NonDeterministicOutcomeError, Probability,
-                         _closed_value, _project_one, measure_sim,
-                         projector_one, recover_shift, strong_sim)
+from pathsum.sim import (NonDeterministicOutcomeError, _closed_value,
+                         _project_one, measure_sim, projector_one,
+                         recover_shift, strong_sim)
 from pathsum.sums import (EvalGuardError, PathSum, adjoint, compose, evaluate,
                           identity, interpret, ket, tensor)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.workloads import POOL12, POOL16  # noqa: E402
-
-
-def bits_to_index(bits):
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
+from support import bits_to_index, random_hidden_shift_spec  # noqa: E402
 
 
 class TestStrongSim:
@@ -86,8 +79,8 @@ class TestMeasureSim:
     def test_h_is_even(self):
         c = Circuit(1, (Gate("h", (0,)),))
         p = measure_sim(c, "0", 0)
-        assert p.exact == Amplitude(1, -2)
-        assert p.decimal == 0.5
+        assert p == Amplitude(1, -2)
+        assert float(p) == 0.5
 
     def test_matches_oracle_marginals(self):
         rng = random.Random(91)
@@ -98,7 +91,7 @@ class TestMeasureSim:
             xb = tuple(rng.randrange(2) for _ in range(n))
             vec = statevector_oracle(c, xb)
             for q in range(n):
-                assert measure_sim(c, xb, q).exact == marginal_one(vec, n, q)
+                assert measure_sim(c, xb, q) == marginal_one(vec, n, q)
 
     def test_qubit_range(self):
         with pytest.raises(ValueError):
@@ -121,7 +114,7 @@ class TestMeasureSim:
         assert reduce(nf).num_vars == 13
         expect = marginal_one(statevector_oracle(c, bits, max_qubits=16), 16, 0)
         assert expect == Amplitude(1, -2)
-        assert measure_sim(c, bits, 0, max_eval_vars=20).exact == expect
+        assert measure_sim(c, bits, 0, max_eval_vars=20) == expect
 
     def test_guard_bounds_the_residual_after_reduction(self):
         c, bits = random_circuit(16, 600, seed=2002), "0010011011100101"
@@ -132,7 +125,7 @@ class TestMeasureSim:
         assert reduce(nf).num_vars == 12
         expect = marginal_one(statevector_oracle(c, bits, max_qubits=16), 16, 15)
         assert expect == Amplitude(9, -8)
-        assert measure_sim(c, bits, 15, max_eval_vars=20).exact == expect
+        assert measure_sim(c, bits, 15, max_eval_vars=20) == expect
 
     def test_projector_shape(self):
         p = projector_one(3, 1)
@@ -245,7 +238,7 @@ class TestRecoverShift:
         with pytest.raises(NonDeterministicOutcomeError) as err:
             recover_shift(c)
         assert err.value.qubit == 0
-        assert err.value.probability.exact == Amplitude(1, -2)
+        assert err.value.probability == Amplitude(1, -2)
 
     def test_agrees_with_standalone_measure(self):
         rng = random.Random(92)
@@ -253,8 +246,7 @@ class TestRecoverShift:
         c = hidden_shift_circuit(spec)
         res = recover_shift(c)
         for i in range(6):
-            assert measure_sim(c, (0,) * 6, i).exact == \
-                res.per_qubit_probability[i].exact
+            assert measure_sim(c, (0,) * 6, i) == res.per_qubit_probability[i]
 
     def test_step_budget(self):
         rng = random.Random(93)
@@ -279,7 +271,7 @@ class TestRecoverShift:
                 f = compose(adjoint(gn), compose(projector_one(n, i), gn))
                 nf, _ = normalize(f)
                 sandwich = evaluate(nf)[0, 0]
-                assert res.per_qubit_probability[i].exact == sandwich, (n, i)
+                assert res.per_qubit_probability[i] == sandwich, (n, i)
                 assert sandwich == marginal_one(vec, n, i), (n, i)
 
     def test_state_on_input_collapses_in_one_step_per_hadamard(self):
@@ -308,10 +300,3 @@ class TestRecoverShift:
             assert got == spec.shift
             assert len(trace) <= g.num_vars
 
-
-class TestProbability:
-    def test_exact_and_decimal(self):
-        p = Probability(Amplitude(1, -2))
-        assert p.decimal == 0.5
-        assert str(p) == "1 * 2^(-1)"
-        assert not p.is_one() and not p.is_zero()

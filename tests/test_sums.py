@@ -18,24 +18,18 @@ from hypothesis import strategies as st
 from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import Circuit, Gate, random_circuit
 from pathsum.exact import Amplitude, Scalar
-from pathsum.fuzz import random_path_sum, random_path_sum_from_circuit
+from pathsum.fuzz import random_path_sum_from_circuit
 from pathsum.oracle import statevector_oracle
 from pathsum.rewrite import DETERMINISTIC_FIRST, normalize
 from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix,
-                          PathSum, adjoint, apply_simple_transform, bra,
-                          compose, evaluate, from_dict, from_json, gate_sem,
-                          identity, interpret, ket, tensor, to_dict,
+                          PathSum, adjoint, bra, compose, evaluate, from_dict,
+                          from_json, identity, interpret, ket, tensor, to_dict,
                           to_json, zero_op)
-from test_circuit import circuits
+from support import (apply_simple_transform, bits_to_index, circuits, column,
+                     dagger, eval_mask, gate_sem, identity_matrix, kron,
+                     matmul, path_sums, poly_of, random_path_sum)
 
 x0, x1 = BoolPoly.var(0), BoolPoly.var(1)
-
-
-def bits_to_index(bits):
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
 
 
 def per_point_evaluate(a):
@@ -46,29 +40,17 @@ def per_point_evaluate(a):
         return Matrix.zeros(rows, cols)
     counts = [[0] * cols for _ in range(rows)]
     for point in range(1 << a.num_vars):
-        r = bits_to_index(p.eval_mask(point) for p in a.outputs)
-        c = bits_to_index(p.eval_mask(point) for p in a.inputs)
-        counts[r][c] += -1 if a.phase.eval_mask(point) else 1
+        r = bits_to_index(eval_mask(p, point) for p in a.outputs)
+        c = bits_to_index(eval_mask(p, point) for p in a.inputs)
+        counts[r][c] += -1 if eval_mask(a.phase, point) else 1
     return Matrix(rows, cols, [[Amplitude.from_count(counts[r][c], a.scalar)
                                 for c in range(cols)] for r in range(rows)])
-
-
-@st.composite
-def path_sums(draw, max_vars=7):
-    """Small sums with up to 3 in and 3 out wires; shrinks termwise."""
-    k = draw(st.integers(0, max_vars))
-    term = st.lists(st.integers(0, k - 1), max_size=3) if k else st.just([])
-    poly = lambda size: st.lists(term, max_size=size).map(
-        lambda terms: BoolPoly.of(*terms))
-    return PathSum(Scalar.pow2(draw(st.integers(-4, 4))), k, draw(poly(8)),
-                   draw(st.lists(poly(2), max_size=3)),
-                   draw(st.lists(poly(2), max_size=3)))
 
 
 class TestMake:
     def test_constant_ket_one(self):
         s = PathSum(Scalar.ONE, 0, BoolPoly.zero(), [BoolPoly.one()], [])
-        assert evaluate(s).column(0) == [Amplitude(0), Amplitude(1)]
+        assert column(evaluate(s), 0) == [Amplitude(0), Amplitude(1)]
 
     def test_hadamard_tuple(self):
         s = PathSum(Scalar.pow2(-1), 2, x0 * x1, [x1], [x0])
@@ -86,7 +68,7 @@ class TestIdentityZero:
         assert m.rows == m.cols == 1 and m[0, 0].is_one()
 
     def test_identity_two_wires(self):
-        assert evaluate(identity(2)) == Matrix.identity(4)
+        assert evaluate(identity(2)) == identity_matrix(4)
 
     def test_identity_is_compose_unit(self):
         rng = random.Random(1)
@@ -123,11 +105,11 @@ class TestKetBra:
 class TestCompose:
     def test_hh_is_identity(self):
         h = gate_sem(Gate("h", (0,)))
-        assert evaluate(compose(h, h)) == Matrix.identity(2)
+        assert evaluate(compose(h, h)) == identity_matrix(2)
 
     def test_xx_is_identity(self):
         xg = gate_sem(Gate("x", (0,)))
-        assert evaluate(compose(xg, xg)) == Matrix.identity(2)
+        assert evaluate(compose(xg, xg)) == identity_matrix(2)
 
     def test_hadamard_amplitude(self):
         h = gate_sem(Gate("h", (0,)))
@@ -141,7 +123,7 @@ class TestCompose:
 
 class TestTensor:
     def test_identity_tensor(self):
-        assert evaluate(tensor(identity(1), identity(1))) == Matrix.identity(4)
+        assert evaluate(tensor(identity(1), identity(1))) == identity_matrix(4)
 
     def test_hh_on_00(self):
         h = gate_sem(Gate("h", (0,)))
@@ -152,7 +134,7 @@ class TestTensor:
 class TestAdjoint:
     def test_h_self_adjoint(self):
         h = gate_sem(Gate("h", (0,)))
-        assert evaluate(adjoint(h)) == evaluate(h).dagger()
+        assert evaluate(adjoint(h)) == dagger(evaluate(h))
 
     def test_ket_bra_duality(self):
         assert adjoint(ket("01")) == bra("01")
@@ -198,7 +180,7 @@ class TestEvaluate:
 
     def test_guard_names_refused_structure(self):
         # x0 on the output, x1..x3 only in the phase, of degree 3
-        s = PathSum(Scalar.ONE, 4, BoolPoly.of((0, 1, 2), (3,), (1, 3)),
+        s = PathSum(Scalar.ONE, 4, poly_of((0, 1, 2), (3,), (1, 3)),
                     (BoolPoly.var(0),), ())
         with pytest.raises(EvalGuardError) as err:
             evaluate(s, max_vars=3)
@@ -248,10 +230,10 @@ class TestEvaluate:
     def test_inner_product_bent_closed_form(self):
         # sum over x, y in F_2^10 of (-1)^(x.y): only x = 0 survives, 2^10;
         # adding x_0 + y_0 moves the survivor to x = e_0 with sign -1
-        ip = BoolPoly.of(*((i, 10 + i) for i in range(10)))
+        ip = poly_of(*((i, 10 + i) for i in range(10)))
         closed = PathSum(Scalar.ONE, 20, ip, (), ())
         assert evaluate(closed)[0, 0] == Amplitude(2 ** 10)
-        tilted = PathSum(Scalar.ONE, 20, ip + BoolPoly.of((0,), (10,)), (), ())
+        tilted = PathSum(Scalar.ONE, 20, ip + poly_of((0,), (10,)), (), ())
         assert evaluate(tilted)[0, 0] == Amplitude(-2 ** 10)
 
 
@@ -280,7 +262,7 @@ class TestGateSem:
                      Gate("z", (0, 1)), Gate("z", (0, 1, 2)),
                      Gate("swap", (0, 1))):
             u = evaluate(gate_sem(gate))
-            assert u.dagger() @ u == Matrix.identity(u.cols), gate.kind
+            assert matmul(dagger(u), u) == identity_matrix(u.cols), gate.kind
 
 
 def reference_interpret(circuit: Circuit) -> PathSum:
@@ -320,11 +302,11 @@ class TestInterpret:
         assert {("h", 1), ("x", 1), ("z", 1), ("z", 3), ("z", 4), ("swap", 2)} <= kinds
 
     def test_empty_circuit(self):
-        assert evaluate(interpret(Circuit(2, ()))) == Matrix.identity(4)
+        assert evaluate(interpret(Circuit(2, ()))) == identity_matrix(4)
 
     def test_double_hadamard(self):
         c = Circuit(1, (Gate("h", (0,)), Gate("h", (0,))))
-        assert evaluate(interpret(c), 16) == Matrix.identity(2)
+        assert evaluate(interpret(c), 16) == identity_matrix(2)
 
     def test_matches_oracle_on_random_circuits(self):
         rng = random.Random(23)
@@ -338,7 +320,7 @@ class TestInterpret:
             m = evaluate(s, 20)
             for xv in range(1 << n):
                 bits = tuple(xv >> (n - 1 - j) & 1 for j in range(n))
-                assert m.column(xv) == statevector_oracle(c, bits), (i, xv)
+                assert column(m, xv) == statevector_oracle(c, bits), (i, xv)
 
     @settings(max_examples=200, deadline=None)
     @given(circuits(max_qubits=5, max_gates=12))
@@ -347,7 +329,7 @@ class TestInterpret:
         m = evaluate(interpret(c))
         for xv in range(1 << n):
             bits = tuple(xv >> (n - 1 - j) & 1 for j in range(n))
-            assert m.column(xv) == statevector_oracle(c, bits), xv
+            assert column(m, xv) == statevector_oracle(c, bits), xv
 
     def test_gate_on_lower_wire(self):
         c = Circuit(2, (Gate("x", (1,)),))
@@ -416,7 +398,7 @@ class TestInterpretOnInput:
         n = c.num_qubits
         bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n,
                                         max_size=n)))
-        assert evaluate(interpret(c, bits)).column(0) == \
+        assert column(evaluate(interpret(c, bits)), 0) == \
             statevector_oracle(c, bits)
 
     def test_rejects_wrong_width(self):
@@ -500,9 +482,9 @@ class TestSoundness:
             if a.num_vars + b.num_vars > 10:
                 continue
             ea, eb = evaluate(a, 16), evaluate(b, 16)
-            assert evaluate(compose(a, b), 16) == ea @ eb
-            assert evaluate(tensor(a, b), 16) == ea.kron(eb)
-            assert evaluate(adjoint(a), 16) == ea.dagger()
+            assert evaluate(compose(a, b), 16) == matmul(ea, eb)
+            assert evaluate(tensor(a, b), 16) == kron(ea, eb)
+            assert evaluate(adjoint(a), 16) == dagger(ea)
             done += 1
 
 
