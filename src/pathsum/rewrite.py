@@ -29,6 +29,13 @@ so slot order is the (rank, pivot) order of ``find_rewrites`` and step
 i is found by one O(log k) descent (Fenwick 1994).  Both strategies
 share the chooser and the step application.
 
+The trace ``normalize`` returns is a ``Trace``: a sequence of
+``RewriteStep``s built on first read.  The loop records each step as a
+few ints (rank, dense pivot, and for HH the dense target and substituent
+masks); the steps are made from them, through ``RewriteStep``'s
+validating constructor, the first time the trace is indexed or iterated.
+Its length costs nothing, and the drivers read no more than that.
+
 ``reduce`` runs the same deterministic loop with one more rank after
 HH, for dense evaluation only: a wire-free pivot whose cofactor is
 affine in three or more variables.  That step is sound but is not a
@@ -41,6 +48,7 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -108,7 +116,50 @@ def seeded_random(seed: int) -> Strategy:
     return Strategy("random", seed)
 
 
-def trace_lines(trace: list[RewriteStep]) -> list[str]:
+class Trace(Sequence):
+    """The steps of one normalization, as ``RewriteStep``s built on first read.
+
+    It holds each step as (rank, pivot) or (2, pivot, target, Q masks),
+    with dense indices, and builds the steps once, the first time it is
+    indexed or iterated.  ``len`` needs no steps.  It compares equal to
+    the list of the same steps and to another ``Trace`` of them.
+    """
+
+    __slots__ = ("_raw", "_steps")
+
+    def __init__(self, raw: list[tuple]):
+        self._raw = raw
+        self._steps: Optional[list[RewriteStep]] = None
+
+    def _built(self) -> list[RewriteStep]:
+        if self._steps is None:
+            self._steps = [
+                RewriteStep(Rule.HH, r[1], r[2], BoolPoly(r[3]))
+                if r[0] == 2 else RewriteStep(_RULES[r[0]], r[1])
+                for r in self._raw]
+        return self._steps
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            other = other._built()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._built() == other
+
+    def __repr__(self):
+        return f"Trace({self._built()!r})"
+
+
+def trace_lines(trace: Sequence[RewriteStep]) -> list[str]:
     return [step.line() for step in trace]
 
 
@@ -224,7 +275,7 @@ def apply(a: PathSum, step: RewriteStep) -> PathSum:
 # normalization
 
 def normalize(a: PathSum, strategy: Strategy = DETERMINISTIC_FIRST
-              ) -> tuple[PathSum, list[RewriteStep]]:
+              ) -> tuple[PathSum, Trace]:
     """Rewrite to a normal form; returns it with the step trace.
 
     Each step is ``find_rewrites(cur)[i]`` on the current sum ``cur``:
@@ -232,10 +283,12 @@ def normalize(a: PathSum, strategy: Strategy = DETERMINISTIC_FIRST
     under the seeded-random one.  The trace length never exceeds the
     initial variable count, and each recorded step is valid for the
     (densely reindexed) sum it was applied to, so replaying the trace
-    through ``apply`` reproduces the result.
+    through ``apply`` reproduces the result.  The trace is a ``Trace``:
+    a sequence of ``RewriteStep``s, built the first time it is read.
     """
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
-    return _run(a, rng, False)
+    nf, raw = _run(a, rng, False)
+    return nf, Trace(raw)
 
 
 def reduce(a: PathSum) -> PathSum:
@@ -280,11 +333,12 @@ def _affine_rule_at(x: int, occ, on_wire):
 
 
 def _run(a: PathSum, rng: Optional[random.Random], affine: bool
-         ) -> tuple[PathSum, list[RewriteStep]]:
+         ) -> tuple[PathSum, list[tuple]]:
     """The indexed loop behind ``normalize`` and ``reduce``.
 
     Step i is drawn from ``rng``, or is 0 without one.  With ``affine``
     the rules come from ``_affine_rule_at``; its steps are not traced.
+    Returns the result and the raw steps that ``Trace`` reads.
     """
     k0 = a.num_vars
     if k0 == 0:
@@ -329,7 +383,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
     touched = 0  # mask of the variables whose occurrences the step edits
     elims = 0
     cap = 0  # phase size past which no affine step is taken
-    trace: list[RewriteStep] = []
+    trace: list[tuple] = []  # the raw steps, as Trace holds them
 
     def recount(v: int, rule):
         """Move variable v's step count to the slot of its new rule."""
@@ -416,18 +470,18 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
         rule = rules[x]
         pivot = bisect_left(ranks, x)
         if rank == 1:
-            trace.append(RewriteStep(Rule.Z, pivot))
+            trace.append((1, pivot))
             return zero_op(n_in, n_out), trace
         if rank == 0:
-            trace.append(RewriteStep(Rule.ELIM, pivot))
+            trace.append((0, pivot))
             elims += 1
         else:
             y = rule[1][i]
             ybit = 1 << y
             q_masks = [mm for mm in rule[2] if mm != ybit]
             if rank == 2:
-                trace.append(RewriteStep(Rule.HH, pivot, bisect_left(ranks, y),
-                                         dense_poly(q_masks)))
+                trace.append((2, pivot, bisect_left(ranks, y),
+                              frozenset(map(dense, q_masks))))
             elif not cap:
                 cap = AFFINE_TERM_GROWTH * len(phase)
             elif len(phase) > cap:

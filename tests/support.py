@@ -2,15 +2,16 @@
 
 None of this is in the package: dense matrix algebra for the
 homomorphism laws, each gate's defining sum, variable renamings, point
-evaluation of polynomials, and random sums, circuits and instances.
+evaluation of polynomials, the compose fold of the confluence fuzz, and
+random sums, circuits and instances.
 """
 
 from hypothesis import strategies as st
 
 from pathsum.boolpoly import BoolPoly
-from pathsum.circuit import Circuit, Gate, HiddenShiftSpec
+from pathsum.circuit import Circuit, Gate, HiddenShiftSpec, random_circuit
 from pathsum.exact import Amplitude, Scalar
-from pathsum.sums import Matrix, PathSum
+from pathsum.sums import Matrix, PathSum, bra, compose, interpret, ket
 
 
 def bits_to_index(bits):
@@ -115,6 +116,23 @@ def random_path_sum(rng, max_vars=8, max_wires=3, n_in=None, n_out=None):
     inputs = tuple(_random_poly(rng, k, rng.randint(0, 2), max_degree=2)
                    for _ in range(n_in))
     return PathSum(Scalar.pow2(rng.randint(-6, 6)), k, phase, outputs, inputs)
+
+
+def reference_path_sum_from_circuit(rng, max_qubits=3, max_gates=6):
+    """The confluence fuzz sum as a compose fold of one-gate
+    interpretations, optionally capped with kets/bras."""
+    n = rng.randint(1, max_qubits)
+    depth = rng.randint(1, max_gates)
+    circ = random_circuit(n, depth, max_controls=min(2, n - 1) if n > 1 else 0,
+                          seed=rng.getrandbits(32))
+    s = interpret(Circuit(n, circ.gates[:1]))
+    for gate in circ.gates[1:]:
+        s = compose(interpret(Circuit(n, (gate,))), s)
+    if rng.randrange(2):
+        s = compose(s, ket(tuple(rng.randrange(2) for _ in range(n))))
+    if rng.randrange(2):
+        s = compose(bra(tuple(rng.randrange(2) for _ in range(n))), s)
+    return s
 
 
 def random_hidden_shift_spec(n, rng):

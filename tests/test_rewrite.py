@@ -8,6 +8,7 @@ bijection with negations.
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -147,11 +148,30 @@ def assert_random_matches_reference(a: PathSum, seed: int) -> list[RewriteStep]:
 
     The reference normal form is its trace replayed through ``apply``, so
     equal traces and equal normal forms mean the trace replays to ``nf``.
+    The ``Trace`` is read every way a caller reads it: length, iteration,
+    indexing, slicing, comparison with the list and with another
+    ``Trace``, and ``trace_lines``.  Its steps must be built once, on the
+    first read after ``len``, each through the validating
+    ``RewriteStep.__post_init__``.
     """
     nf, trace = normalize(a, seeded_random(seed))
     ref_nf, ref_trace = reference_random_normalize(a, seed)
-    assert trace_lines(trace) == trace_lines(ref_trace), (a, seed)
-    assert trace == ref_trace
+    validate = RewriteStep.__post_init__
+    validated = []
+
+    def checked(step):
+        validated.append(step)
+        validate(step)
+
+    with mock.patch.object(RewriteStep, "__post_init__", checked):
+        assert len(trace) == len(ref_trace) and not validated
+        assert list(trace) == ref_trace, (a, seed)
+        assert [trace[i] for i in range(-len(trace), len(trace))] == ref_trace * 2
+        assert trace[1:-1] == ref_trace[1:-1] and trace[::-2] == ref_trace[::-2]
+        assert trace == ref_trace and ref_trace == trace
+        assert trace_lines(trace) == trace_lines(ref_trace), (a, seed)
+    assert validated == ref_trace
+    assert trace == normalize(a, seeded_random(seed))[1]
     assert to_json(nf) == to_json(ref_nf), (a, seed)
     assert nf == ref_nf
     return trace

@@ -27,7 +27,8 @@ from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix,
                           to_json, zero_op)
 from support import (apply_simple_transform, bits_to_index, circuits, column,
                      dagger, eval_mask, gate_sem, identity_matrix, kron,
-                     matmul, path_sums, poly_of, random_path_sum)
+                     matmul, path_sums, poly_of, random_path_sum,
+                     reference_path_sum_from_circuit)
 
 x0, x1 = BoolPoly.var(0), BoolPoly.var(1)
 
@@ -436,6 +437,17 @@ class TestFoldGenerator:
             digest.update(to_json(a).encode() + b"\n")
         assert digest.hexdigest() == (
             "6101825aa4ffff25c81ae87af2e838d9542ac9010dc18e2fd5728f6f76fedf17")
+
+    def test_matches_compose_fold(self):
+        # the mask-set fold against the compose fold it replaces, on the
+        # default sizes and on wider and deeper circuits; both must also
+        # leave the caller's generator in the same state
+        sizes = [(3, 6)] * 2000 + [(1, 1), (2, 12), (5, 20), (8, 40)] * 100
+        for seed, (qubits, gates) in enumerate(sizes):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            a = random_path_sum_from_circuit(rng, qubits, gates)
+            assert a == reference_path_sum_from_circuit(ref_rng, qubits, gates), seed
+            assert rng.getstate() == ref_rng.getstate()
 
 
 class TestSimpleTransform:
