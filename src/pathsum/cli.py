@@ -269,9 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="normal form of the circuit's path sum")
     common(p)
     p.add_argument("--in", default=None, dest="in_bits", metavar="BITS",
-                   help="compose with this input ket first")
+                   help="normalize the state C|x> built on this basis input "
+                        "(no input wires) instead of the operator C")
     p.add_argument("--strategy", choices=("first", "random"), default="first")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of --strategy random (default: 0); "
+                        "ignored under --strategy first")
     p.add_argument("--trace", action="store_true", help="print the step trace")
     p.set_defaults(func=cmd_normalize)
 

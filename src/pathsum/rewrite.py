@@ -338,26 +338,30 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
 
     Step i is drawn from ``rng``, or is 0 without one.  With ``affine``
     the rules come from ``_affine_rule_at``; its steps are not traced.
+    The phase and the output/input polynomials are edited by one
+    ``toggle``, and y <- Q is substituted in all of them by one pass.
     Returns the result and the raw steps that ``Trace`` reads.
     """
     k0 = a.num_vars
     if k0 == 0:
         return a, []
     rule_at = _affine_rule_at if affine else _rule_at
-    phase = set(a.phase.monomials)
-    oi = [set(p.monomials) for p in a.outputs] + [set(p.monomials) for p in a.inputs]
+    polys = [set(p.monomials) for p in (a.phase, *a.outputs, *a.inputs)]
+    phase = polys[0]
     n_out = len(a.outputs)
     n_in = len(a.inputs)
 
+    # each variable's index keys monomial m of polys[p] as p << k0 | m,
+    # naming both: pocc holds the phase's (p = 0, key m), oipos the wires'
     pocc: list[set[int]] = [set() for _ in range(k0)]
     for m in phase:
         for b in mask_bits(m):
             pocc[b].add(m)
-    oipos: list[set[tuple[int, int]]] = [set() for _ in range(k0)]
-    for idx, poly in enumerate(oi):
-        for m in poly:
+    oipos: list[set[int]] = [set() for _ in range(k0)]
+    for p in range(1, len(polys)):
+        for m in polys[p]:
             for b in mask_bits(m):
-                oipos[b].add((idx, m))
+                oipos[b].add(p << k0 | m)
 
     ranks = list(range(k0))  # alive variables, ascending: index = dense rank
     # One Fenwick tree over the slots rank * k0 + v, that is the per-rank
@@ -411,25 +415,8 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
         slot[v] = new_slot
         count[v] = new_count
 
-    def phase_toggle(m: int):
-        nonlocal touched
-        touched |= m
-        if m in phase:
-            phase.remove(m)
-            edit = set.remove
-        else:
-            phase.add(m)
-            edit = set.add
-        bits = m
-        while bits:
-            low = bits & -bits
-            edit(pocc[low.bit_length() - 1], m)
-            bits ^= low
-
-    def oi_toggle(idx: int, m: int):
-        nonlocal touched
-        touched |= m
-        poly = oi[idx]
+    def toggle(poly: set[int], index, m: int, key):
+        """Add or cancel monomial m in poly, and key in m's variables' index."""
         if m in poly:
             poly.remove(m)
             edit = set.remove
@@ -439,7 +426,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
         bits = m
         while bits:
             low = bits & -bits
-            edit(oipos[low.bit_length() - 1], (idx, m))
+            edit(index[low.bit_length() - 1], key)
             bits ^= low
 
     def dense(m: int) -> int:
@@ -478,8 +465,8 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
         else:
             y = rule[1][i]
             ybit = 1 << y
-            q_masks = [mm for mm in rule[2] if mm != ybit]
-            if rank == 2:
+            if rank == 2:  # the cofactor rule[2] is y + Q
+                q_masks = [mm for mm in rule[2] if mm != ybit]
                 trace.append((2, pivot, bisect_left(ranks, y),
                               frozenset(map(dense, q_masks))))
             elif not cap:
@@ -499,16 +486,19 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
             if m != xbit:
                 pocc[(m ^ xbit).bit_length() - 1].remove(m)
         pocc[x].clear()
-        for m in list(pocc[y]):       # substitute y <- Q in the phase
-            phase_toggle(m)
-            base = m ^ ybit
-            for qm in q_masks:
-                phase_toggle(base | qm)
-        for idx, m in list(oipos[y]):  # and in every output/input polynomial
-            oi_toggle(idx, m)
-            base = m ^ ybit
-            for qm in q_masks:
-                oi_toggle(idx, base | qm)
+        # substitute y <- Q: add base * cofactor, base * (y + Q), for each
+        # monomial base * y of every polynomial; the cofactor's variables
+        # were touched already, by the pivot's monomials
+        for index in (pocc, oipos):
+            for key in list(index[y]):
+                p = key >> k0
+                tag = p << k0
+                poly = polys[p]
+                base = key ^ tag ^ ybit
+                touched |= base
+                for lm in rule[2]:
+                    mm = base | lm
+                    toggle(poly, index, mm, mm | tag)
         # refresh the rules the step touched; of the variables it
         # removed, only the pivot ever occurs in an edited monomial
         for v in mask_bits(touched & ~xbit):
@@ -519,8 +509,8 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
 
     result = PathSum(
         a.scalar.times_pow2(elims), len(ranks), dense_poly(phase),
-        tuple(dense_poly(oi[i]) for i in range(n_out)),
-        tuple(dense_poly(oi[n_out + i]) for i in range(n_in)),
+        tuple(map(dense_poly, polys[1:1 + n_out])),
+        tuple(map(dense_poly, polys[1 + n_out:])),
     )
     return result, trace
 

@@ -18,8 +18,8 @@ from .boolpoly import BoolPoly
 from .circuit import Circuit
 from .exact import Amplitude, Scalar
 from .rewrite import DETERMINISTIC_FIRST, normalize, reduce
-from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, adjoint, as_bits, bra,
-                   compose, evaluate, interpret)
+from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, adjoint, as_bits,
+                   bra, compose, evaluate, interpret)
 
 
 class NonDeterministicOutcomeError(RuntimeError):
@@ -63,14 +63,12 @@ def projector_one(n: int, qubit: int) -> PathSum:
 
 
 def _project_one(g: PathSum, qubit: int) -> PathSum:
-    """P1 on one output of g, in place: one mediator y with phase term
-    y*(O_qubit + 1) and scalar 2^-1 force O_qubit = 1, which becomes the
-    constant output.  Equal in value to compose(projector_one(n, qubit), g)
-    with 1 variable added instead of 2n - 1."""
-    y = 1 << g.num_vars
+    """P1 on one output of g, in place: one mediator y (``_mediate``), with
+    phase term y*(O_qubit + 1) and scalar 2^-1, forces O_qubit = 1, the new
+    constant output.  Equal in value to compose(projector_one(n, qubit), g) with 1
+    variable added instead of 2n - 1."""
     phase = set(g.phase.monomials)
-    phase ^= {y | mm for mm in g.outputs[qubit].monomials}
-    phase ^= {y}
+    _mediate(phase, g.num_vars, (g.outputs[qubit].monomials,), ({0},), 0)
     outputs = list(g.outputs)
     outputs[qubit] = BoolPoly.one()
     return PathSum(g.scalar.times_pow2(-1), g.num_vars + 1,

@@ -132,9 +132,9 @@ def compose(a: PathSum, b: PathSum) -> PathSum:
     """Sequential composition a . b (b acts first).
 
     b's variables are renumbered above a's and one fresh mediator
-    variable per shared wire adds the phase term y_i*(O_b_i + I_a_i),
-    which interferes destructively unless the wires agree; the scalar
-    picks up 2^-m for the m mediators.
+    variable per shared wire adds the phase term y_i*(O_b_i + I_a_i)
+    (``_mediate``), which interferes destructively unless the wires
+    agree; the scalar picks up 2^-m for the m mediators.
     """
     m = len(a.inputs)
     if len(b.outputs) != m:
@@ -142,21 +142,28 @@ def compose(a: PathSum, b: PathSum) -> PathSum:
             f"signature mismatch: composing {len(b.outputs)} outputs "
             f"into {m} inputs"
         )
-    ka, kb = a.num_vars, b.num_vars
-    shift = ka
-    med = ka + kb
+    shift = a.num_vars
+    med = shift + b.num_vars
     phase_masks = set(a.phase.monomials)
     phase_masks ^= {mm << shift for mm in b.phase.monomials}
-    for i in range(m):
-        ybit = 1 << (med + i)
-        term = {mm << shift for mm in b.outputs[i].monomials}
-        term ^= a.inputs[i].monomials
-        phase_masks ^= {ybit | mm for mm in term}
-    outputs = a.outputs
+    _mediate(phase_masks, med, [p.monomials for p in b.outputs],
+             [p.monomials for p in a.inputs], shift)
     inputs = tuple(p.shifted(shift) for p in b.inputs)
     scalar = (a.scalar * b.scalar).times_pow2(-m)
     return PathSum(scalar, med + m, BoolPoly(frozenset(phase_masks)),
-                   outputs, inputs)
+                   a.outputs, inputs)
+
+
+def _mediate(phase: set[int], med: int, outputs, inputs, shift: int) -> None:
+    """Add y_(med+i) * (O_i << shift + I_i) to the phase for each wire i,
+    given as monomial masks: the mediator term, which forces O_i = I_i,
+    of ``compose``, of the fuzz fold and of the in-place projector."""
+    ybit = 1 << med
+    for o, i in zip(outputs, inputs):
+        term = {mm << shift for mm in o}
+        term ^= i
+        phase ^= {ybit | mm for mm in term}
+        ybit <<= 1
 
 
 def tensor(a: PathSum, b: PathSum) -> PathSum:
@@ -292,7 +299,8 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     out[q]; C^(m)Z adds the product of its wires' outputs to the phase;
     SWAP exchanges two outputs.  The result has exactly n + #H variables
     and scalar 2^(-#H/2).  Outputs and phase are kept as plain sets of
-    monomial masks and become polynomials once, at the end.
+    monomial masks, folded by ``_fold_gates``, and become polynomials
+    once, at the end.
 
     Given a basis input ``in_bits`` (width n), wire q starts as the
     constant b_q instead, and the result is the state [circuit]|x>: #H
@@ -310,9 +318,18 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
             raise ValueError(f"input must have width {n}, got {len(bits)}")
         out = [{0} if b else set() for b in bits]
         inputs = ()
-    k0 = k = len(inputs)
+    k0 = len(inputs)
     phase: set[int] = set()
-    for gate in circuit.gates:
+    k = _fold_gates(circuit.gates, out, phase, k0)
+    return PathSum(Scalar.pow2(k0 - k), k, BoolPoly(frozenset(phase)),
+                   tuple(BoolPoly(frozenset(o)) for o in out), inputs)
+
+
+def _fold_gates(gates, out: list[set[int]], phase: set[int], k: int) -> int:
+    """Apply the gates in place to the wire outputs and the phase, sets of
+    monomial masks, the Hadamards taking variables k, k + 1, ...; returns
+    the next free variable.  The gate loop of ``interpret`` and the fuzz."""
+    for gate in gates:
         qs = gate.qubits
         if gate.kind == H:
             phase ^= {(1 << k) | mm for mm in out[qs[0]]}
@@ -327,8 +344,7 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
             phase ^= prod
         else:  # SWAP
             out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
-    return PathSum(Scalar.pow2(k0 - k), k, BoolPoly(frozenset(phase)),
-                   tuple(BoolPoly(frozenset(o)) for o in out), inputs)
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 None of this is in the package: dense matrix algebra for the
 homomorphism laws, each gate's defining sum, variable renamings, point
-evaluation of polynomials, the compose fold of the confluence fuzz, and
-random sums, circuits and instances.
+evaluation of polynomials, the confluence fuzz sum as a compose fold and
+as one interpretation, and random sums, circuits and instances.
 """
 
 from hypothesis import strategies as st
@@ -118,21 +118,71 @@ def random_path_sum(rng, max_vars=8, max_wires=3, n_in=None, n_out=None):
     return PathSum(Scalar.pow2(rng.randint(-6, 6)), k, phase, outputs, inputs)
 
 
-def reference_path_sum_from_circuit(rng, max_qubits=3, max_gates=6):
-    """The confluence fuzz sum as a compose fold of one-gate
-    interpretations, optionally capped with kets/bras."""
+def _fuzz_circuit(rng, max_qubits, max_gates):
+    """The fuzz generator's first draws: a width and a random circuit."""
     n = rng.randint(1, max_qubits)
     depth = rng.randint(1, max_gates)
-    circ = random_circuit(n, depth, max_controls=min(2, n - 1) if n > 1 else 0,
+    return random_circuit(n, depth, max_controls=min(2, n - 1) if n > 1 else 0,
                           seed=rng.getrandbits(32))
-    s = interpret(Circuit(n, circ.gates[:1]))
-    for gate in circ.gates[1:]:
-        s = compose(interpret(Circuit(n, (gate,))), s)
+
+
+def _fuzz_caps(rng, s, n):
+    """The fuzz generator's last draws: a random ket and bra on s."""
     if rng.randrange(2):
         s = compose(s, ket(tuple(rng.randrange(2) for _ in range(n))))
     if rng.randrange(2):
         s = compose(bra(tuple(rng.randrange(2) for _ in range(n))), s)
     return s
+
+
+def reference_path_sum_from_circuit(rng, max_qubits=3, max_gates=6):
+    """The confluence fuzz sum as a compose fold of one-gate
+    interpretations, optionally capped with kets/bras."""
+    circ = _fuzz_circuit(rng, max_qubits, max_gates)
+    n = circ.num_qubits
+    s = interpret(Circuit(n, circ.gates[:1]))
+    for gate in circ.gates[1:]:
+        s = compose(interpret(Circuit(n, (gate,))), s)
+    return _fuzz_caps(rng, s, n)
+
+
+def interpreted_path_sum_from_circuit(rng, max_qubits=3, max_gates=6):
+    """The confluence fuzz sum as one interpretation, optionally capped.
+
+    compose(interpret(g2), interpret(g1)) is interpret(g1; h q; h q on
+    every wire q; g2) up to renaming: the first h on a wire is the
+    mediator and the second g2's input variable.  The circuit gets h;h
+    on every wire between consecutive gates and is renamed into the
+    compose fold's numbering: gate j's block (n inputs, then its H
+    variable) starts after the blocks of the later gates, and the
+    mediators follow all blocks, boundary by boundary, wire by wire.
+    """
+    circ = _fuzz_circuit(rng, max_qubits, max_gates)
+    n = circ.num_qubits
+    gates = []
+    for j, gate in enumerate(circ.gates):
+        if j:
+            for q in range(n):
+                gates += [Gate("h", (q,)), Gate("h", (q,))]
+        gates.append(gate)
+    blocks = [n + (gate.kind == "h") for gate in circ.gates]
+    med = sum(blocks)
+    phi = {}
+    v = 0  # interpret's next variable
+    for j, gate in enumerate(circ.gates):
+        start = sum(blocks[j + 1:])
+        for q in range(n):
+            if j:  # the mediator, then the gate's input variable
+                phi[v] = (med, 0)
+                med += 1
+                v += 1
+            phi[v] = (start + q, 0)
+            v += 1
+        if gate.kind == "h":
+            phi[v] = (start + n, 0)
+            v += 1
+    s = apply_simple_transform(interpret(Circuit(n, tuple(gates))), phi)
+    return _fuzz_caps(rng, s, n)
 
 
 def random_hidden_shift_spec(n, rng):

@@ -341,6 +341,14 @@ class TestNormalize:
         assert trace and all(
             line.split()[0] in ("ELIM", "Z", "HH") for line in trace)
 
+    def test_help_states_input_and_seed(self):
+        # --in builds the state on a basis input rather than composing a
+        # ket, and --seed only drives the random strategy
+        text = " ".join(run("normalize", "--help").stdout.split())
+        assert "the state C|x> built on this basis input" in text
+        assert "compose" not in text
+        assert "ignored under --strategy first" in text
+
 
 class TestCheckConfluence:
     def test_all_trials_pass(self):

@@ -26,8 +26,9 @@ from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix,
                           from_json, identity, interpret, ket, tensor, to_dict,
                           to_json, zero_op)
 from support import (apply_simple_transform, bits_to_index, circuits, column,
-                     dagger, eval_mask, gate_sem, identity_matrix, kron,
-                     matmul, path_sums, poly_of, random_path_sum,
+                     dagger, eval_mask, gate_sem, identity_matrix,
+                     interpreted_path_sum_from_circuit, kron, matmul,
+                     path_sums, poly_of, random_path_sum,
                      reference_path_sum_from_circuit)
 
 x0, x1 = BoolPoly.var(0), BoolPoly.var(1)
@@ -428,9 +429,9 @@ class TestInterpretOnInput:
 
 class TestFoldGenerator:
     def test_output_is_pinned(self):
-        # the confluence fuzz builds its sums with compose, ket, bra and
-        # the no-argument interpret; their output is pinned so the fuzz
-        # keeps the same redexes
+        # the confluence fuzz folds its sums from interpret's gate loop
+        # and compose's mediators, then caps them with compose, ket and
+        # bra; their output is pinned so the fuzz keeps the same redexes
         digest = hashlib.sha256()
         for seed in range(1000):
             a = random_path_sum_from_circuit(random.Random(seed))
@@ -447,6 +448,18 @@ class TestFoldGenerator:
             rng, ref_rng = random.Random(seed), random.Random(seed)
             a = random_path_sum_from_circuit(rng, qubits, gates)
             assert a == reference_path_sum_from_circuit(ref_rng, qubits, gates), seed
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_is_an_interpretation(self):
+        # the fold against one interpret of the circuit with h;h on every
+        # wire between its gates, renamed: a reference that does not go
+        # through compose, on the same sizes and generator states
+        sizes = [(3, 6)] * 2000 + [(1, 1), (2, 12), (5, 20), (8, 40)] * 100
+        for seed, (qubits, gates) in enumerate(sizes):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            a = random_path_sum_from_circuit(rng, qubits, gates)
+            assert a == interpreted_path_sum_from_circuit(
+                ref_rng, qubits, gates), seed
             assert rng.getstate() == ref_rng.getstate()
 
 
