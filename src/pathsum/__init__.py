@@ -10,7 +10,7 @@ a basis state, which makes their classical simulation polynomial time.
 from .boolpoly import BoolPoly
 from .circuit import (Circuit, CircuitParseError, Gate, HiddenShiftSpec,
                       hidden_shift_circuit, parse, random_circuit, serialize)
-from .exact import Amplitude, ParityError, Scalar
+from .exact import Amplitude, ParityError
 from .oracle import marginal_one, statevector_oracle
 from .rewrite import (DETERMINISTIC_FIRST, RewriteStep, Rule, StaleStepError,
                       Strategy, VarCapError, apply, find_rewrites, normalize,
@@ -18,15 +18,15 @@ from .rewrite import (DETERMINISTIC_FIRST, RewriteStep, Rule, StaleStepError,
 from .sim import (NonDeterministicOutcomeError, ShiftResult,
                   SimulationConsistencyError, measure_sim, projector_one,
                   recover_shift, strong_sim)
-from .sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix, PathSum,
-                   adjoint, bra, compose, evaluate, from_dict, from_json,
-                   identity, interpret, ket, tensor, to_dict, to_json, zero_op)
+from .sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, PathSum, adjoint,
+                   bra, compose, evaluate, from_dict, from_json, identity,
+                   interpret, ket, tensor, to_dict, to_json, zero_op)
 
 __all__ = [
     "Amplitude", "BoolPoly", "Circuit", "CircuitParseError",
     "DEFAULT_MAX_EVAL_VARS", "DETERMINISTIC_FIRST", "EvalGuardError", "Gate",
-    "HiddenShiftSpec", "Matrix", "NonDeterministicOutcomeError", "ParityError",
-    "PathSum", "RewriteStep", "Rule", "Scalar", "ShiftResult",
+    "HiddenShiftSpec", "NonDeterministicOutcomeError", "ParityError",
+    "PathSum", "RewriteStep", "Rule", "ShiftResult",
     "SimulationConsistencyError", "StaleStepError", "Strategy", "VarCapError",
     "adjoint", "apply", "bra", "compose", "evaluate", "find_rewrites",
     "from_dict", "from_json", "hidden_shift_circuit", "identity", "interpret",

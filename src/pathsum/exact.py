@@ -1,16 +1,14 @@
-"""Exact scalar and amplitude arithmetic.
+"""Exact amplitude arithmetic: one value type for scalars and amplitudes.
 
-Every scalar the engine produces is either 0 or a power of sqrt(2), and
-every amplitude is an integer multiple of such a power.  Both are kept in
-the exact form N * 2^(half_exp/2), so equality checks never need a
-tolerance.
+Every amplitude the engine produces is an integer multiple of a power of
+sqrt(2), kept in the exact form N * 2^(half_exp/2), so equality checks
+never need a tolerance.  A path sum's scalar is the same type with
+N = 0 or 1: zero or a power of sqrt(2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -21,45 +19,6 @@ class ParityError(ArithmeticError):
     No such sum has the form N*2^(e/2); inside the Boolean fragment this
     signals an internal inconsistency rather than a representable value.
     """
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """Exact value 0 (when ``zero`` is set) or 2^(half_exp/2)."""
-
-    zero: bool
-    half_exp: int = 0
-
-    ONE: ClassVar["Scalar"]  # assigned after the class body
-    ZERO: ClassVar["Scalar"]
-
-    def __post_init__(self):
-        if self.zero and self.half_exp != 0:
-            object.__setattr__(self, "half_exp", 0)
-
-    @classmethod
-    def pow2(cls, half_exp: int) -> "Scalar":
-        """The scalar 2^(half_exp/2)."""
-        return cls(False, half_exp)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        if self.zero or other.zero:
-            return Scalar.ZERO
-        return Scalar(False, self.half_exp + other.half_exp)
-
-    def times_pow2(self, exponent: int) -> "Scalar":
-        """Multiply by 2^exponent (an integer power)."""
-        return self if self.zero else Scalar(False, self.half_exp + 2 * exponent)
-
-    def __float__(self) -> float:
-        if self.zero:
-            return 0.0
-        v = math.ldexp(1.0, self.half_exp // 2)
-        return v * _SQRT2 if self.half_exp % 2 else v
-
-
-Scalar.ONE = Scalar(False, 0)
-Scalar.ZERO = Scalar(True, 0)
 
 
 class Amplitude:
@@ -80,13 +39,6 @@ class Amplitude:
 
     def __setattr__(self, name, value):
         raise AttributeError("Amplitude is immutable")
-
-    @classmethod
-    def from_count(cls, count: int, scalar: Scalar) -> "Amplitude":
-        """count * scalar, the form every path-sum evaluation produces."""
-        if scalar.zero:
-            return cls(0)
-        return cls(count, scalar.half_exp)
 
     def is_zero(self) -> bool:
         return self.num == 0

@@ -18,7 +18,7 @@ import random
 
 from .boolpoly import BoolPoly
 from .circuit import random_circuit
-from .exact import Scalar
+from .exact import Amplitude
 # interpret is not called here, but stays a module global next to compose:
 # the benchmark's tracer (perfbench/tracer.py) wraps both names in this module
 from .sums import (PathSum, _fold_gates, _mediate, bra, compose,  # noqa: F401
@@ -58,7 +58,7 @@ def random_path_sum_from_circuit(rng: random.Random, max_qubits: int = 3,
         inputs = [{m << ka for m in p} for p in inputs]
         k = med + n
         half_exp -= 2 * n
-    s = PathSum(Scalar.pow2(half_exp), k, BoolPoly(frozenset(phase)),
+    s = PathSum(Amplitude(1, half_exp), k, BoolPoly(frozenset(phase)),
                 tuple(BoolPoly(frozenset(p)) for p in outputs),
                 tuple(BoolPoly(frozenset(p)) for p in inputs))
     if rng.randrange(2):

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .boolpoly import BoolPoly, mask_bits
+from .exact import Amplitude
 from .sums import PathSum, zero_op
 
 
@@ -250,7 +251,7 @@ def apply(a: PathSum, step: RewriteStep) -> PathSum:
         raise StaleStepError(f"{step.rule.value} does not apply at variable {x}")
 
     if step.rule is Rule.ELIM:
-        return PathSum(a.scalar.times_pow2(1), k - 1, a.phase.squeezed(x),
+        return PathSum(a.scalar * Amplitude(1, 2), k - 1, a.phase.squeezed(x),
                        tuple(p.squeezed(x) for p in a.outputs),
                        tuple(p.squeezed(x) for p in a.inputs))
 
@@ -508,7 +509,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
         touched = 0
 
     result = PathSum(
-        a.scalar.times_pow2(elims), len(ranks), dense_poly(phase),
+        a.scalar * Amplitude(1, 2 * elims), len(ranks), dense_poly(phase),
         tuple(map(dense_poly, polys[1:1 + n_out])),
         tuple(map(dense_poly, polys[1 + n_out:])),
     )

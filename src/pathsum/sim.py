@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .boolpoly import BoolPoly
 from .circuit import Circuit
-from .exact import Amplitude, Scalar
+from .exact import Amplitude
 from .rewrite import DETERMINISTIC_FIRST, normalize, reduce
 from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, adjoint, as_bits,
                    bra, compose, evaluate, interpret)
@@ -59,7 +59,7 @@ def projector_one(n: int, qubit: int) -> PathSum:
         raise ValueError(f"qubit {qubit} out of range for {n} wires")
     wires = [BoolPoly.var(i) for i in range(n - 1)]
     wires.insert(qubit, BoolPoly.one())
-    return PathSum(Scalar.ONE, n - 1, BoolPoly.zero(), tuple(wires), tuple(wires))
+    return PathSum(Amplitude(1), n - 1, BoolPoly.zero(), tuple(wires), tuple(wires))
 
 
 def _project_one(g: PathSum, qubit: int) -> PathSum:
@@ -71,7 +71,7 @@ def _project_one(g: PathSum, qubit: int) -> PathSum:
     _mediate(phase, g.num_vars, (g.outputs[qubit].monomials,), ({0},), 0)
     outputs = list(g.outputs)
     outputs[qubit] = BoolPoly.one()
-    return PathSum(g.scalar.times_pow2(-1), g.num_vars + 1,
+    return PathSum(g.scalar * Amplitude(1, -2), g.num_vars + 1,
                    BoolPoly(frozenset(phase)), tuple(outputs), g.inputs)
 
 
@@ -82,7 +82,7 @@ def _closed_value(f: PathSum, max_eval_vars: int) -> tuple[Amplitude, int]:
     dense evaluation sums the residual; the guard bounds that residual.
     """
     nf, trace = normalize(f, DETERMINISTIC_FIRST)
-    return evaluate(reduce(nf), max_eval_vars)[0, 0], len(trace)
+    return evaluate(reduce(nf), max_eval_vars)[0][0], len(trace)
 
 
 def _probability_one(gn: PathSum, qubit: int,
@@ -90,13 +90,14 @@ def _probability_one(gn: PathSum, qubit: int,
     """Pr[qubit = 1] in the normalized state sum gn, and the steps taken.
 
     A state with no variables left is scalar*|b>, so the probability is
-    scalar^2 * b_qubit.  Otherwise gn is projected in place to P gn and
-    the sandwich <P gn|P gn> = <gn|P|gn> gets its value from
+    the amplitude b_qubit * scalar^2: 0 or a power of 2, as the scalar is
+    0 or a power of sqrt(2).  Otherwise gn is projected in place to P gn
+    and the sandwich <P gn|P gn> = <gn|P|gn> gets its value from
     ``_closed_value``, under the guard: 2k + n + 2 variables for k in gn.
     """
     if gn.num_vars == 0:  # each output is the constant 0 or 1
         bit = len(gn.outputs[qubit].monomials)
-        amp, steps = Amplitude.from_count(bit, gn.scalar * gn.scalar), 0
+        amp, steps = Amplitude(bit) * gn.scalar * gn.scalar, 0
     else:
         pg = _project_one(gn, qubit)
         f = compose(adjoint(pg), pg)

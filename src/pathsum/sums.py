@@ -1,11 +1,12 @@
 """Path sums: symbolic linear operators over GF(2)-valued variables.
 
-A path sum holds a scalar, a count of summation variables, a phase
-polynomial and tuples of output/input polynomials; it denotes the
-operator  scalar * sum over assignments of (-1)^phase |outputs><inputs|.
+A path sum holds a scalar (an ``Amplitude`` that is 0 or a power of
+sqrt(2)), a count of summation variables, a phase polynomial and tuples
+of output/input polynomials; it denotes the operator
+scalar * sum over assignments of (-1)^phase |outputs><inputs|.
 This module provides the categorical structure (compose, tensor,
 adjoint, identities, kets/bras), circuit interpretation, and dense
-exact evaluation.
+exact evaluation to rows of amplitudes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 from .boolpoly import BoolPoly, mask_bits, mask_product
 from .circuit import CMZ, Circuit, H, X
-from .exact import Amplitude, Scalar
+from .exact import Amplitude
 
 #: dense evaluation refuses sums with more variables than this by default;
 #: the cost is exponential in the count, so larger runs are opt-in
@@ -66,7 +67,7 @@ def as_bits(bits: Bits) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PathSum:
-    scalar: Scalar
+    scalar: Amplitude  # 0 or 2^(half_exp/2): num is 0 or 1
     num_vars: int
     phase: BoolPoly
     outputs: tuple[BoolPoly, ...]
@@ -77,6 +78,9 @@ class PathSum:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.num_vars < 0:
             raise ValueError("negative variable count")
+        if self.scalar.num not in (0, 1):
+            raise ValueError(
+                f"scalar must be 0 or a power of sqrt(2), got {self.scalar!r}")
         used = self.phase.vars_mask
         for p in self.outputs:
             used |= p.vars_mask
@@ -94,7 +98,7 @@ class PathSum:
         return (len(self.inputs), len(self.outputs))
 
     def __repr__(self):
-        s = "0" if self.scalar.zero else f"2^({self.scalar.half_exp}/2)"
+        s = "0" if not self.scalar else f"2^({self.scalar.half_exp}/2)"
         outs = ",".join(str(p) for p in self.outputs)
         ins = ",".join(str(p) for p in self.inputs)
         return (f"PathSum({s} sum[{self.num_vars}] "
@@ -105,26 +109,26 @@ def identity(n: int) -> PathSum:
     if n < 0:
         raise ValueError("negative wire count")
     wires = tuple(BoolPoly.var(i) for i in range(n))
-    return PathSum(Scalar.ONE, n, BoolPoly.zero(), wires, wires)
+    return PathSum(Amplitude(1), n, BoolPoly.zero(), wires, wires)
 
 
 def zero_op(n_in: int, n_out: int) -> PathSum:
     """The zero operator with the given signature (all-zero constants)."""
     if n_in < 0 or n_out < 0:
         raise ValueError("negative wire count")
-    return PathSum(Scalar.ZERO, 0, BoolPoly.zero(),
+    return PathSum(Amplitude(0), 0, BoolPoly.zero(),
                    (BoolPoly.zero(),) * n_out, (BoolPoly.zero(),) * n_in)
 
 
 def ket(bits: Bits) -> PathSum:
     b = as_bits(bits)
-    return PathSum(Scalar.ONE, 0, BoolPoly.zero(),
+    return PathSum(Amplitude(1), 0, BoolPoly.zero(),
                    tuple(BoolPoly.constant(v) for v in b), ())
 
 
 def bra(bits: Bits) -> PathSum:
     b = as_bits(bits)
-    return PathSum(Scalar.ONE, 0, BoolPoly.zero(), (),
+    return PathSum(Amplitude(1), 0, BoolPoly.zero(), (),
                    tuple(BoolPoly.constant(v) for v in b))
 
 
@@ -149,7 +153,7 @@ def compose(a: PathSum, b: PathSum) -> PathSum:
     _mediate(phase_masks, med, [p.monomials for p in b.outputs],
              [p.monomials for p in a.inputs], shift)
     inputs = tuple(p.shifted(shift) for p in b.inputs)
-    scalar = (a.scalar * b.scalar).times_pow2(-m)
+    scalar = a.scalar * b.scalar * Amplitude(1, -2 * m)
     return PathSum(scalar, med + m, BoolPoly(frozenset(phase_masks)),
                    a.outputs, inputs)
 
@@ -185,40 +189,12 @@ def adjoint(a: PathSum) -> PathSum:
 # ---------------------------------------------------------------------------
 # evaluation
 
-class Matrix:
-    """Dense exact operator matrix; wire 0 is the most significant bit."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int,
-                 entries: list[list[Amplitude]]):
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        z = Amplitude(0)
-        return cls(rows, cols, [[z] * cols for _ in range(rows)])
-
-    def __getitem__(self, key: tuple[int, int]) -> Amplitude:
-        r, c = key
-        return self.entries[r][c]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        body = "; ".join(
-            " ".join(a.render() for a in row) for row in self.entries)
-        return f"Matrix({self.rows}x{self.cols}: {body})"
-
-
-def evaluate(a: PathSum, max_vars: int = DEFAULT_MAX_EVAL_VARS) -> Matrix:
+def evaluate(a: PathSum,
+             max_vars: int = DEFAULT_MAX_EVAL_VARS) -> list[list[Amplitude]]:
     """Dense exact evaluation, bit-parallel over the wire-free variables.
+
+    Returns the operator's matrix as rows: entry [r][c] is <r|a|c>, with
+    wire 0 the most significant bit of r and c, and each row a new list.
 
     The w variables that occur in an output or input polynomial are
     enumerated one assignment at a time.  Each of the r variables that
@@ -245,8 +221,8 @@ def evaluate(a: PathSum, max_vars: int = DEFAULT_MAX_EVAL_VARS) -> Matrix:
             wire_vars=wire_mask.bit_count(), phase_vars=len(free_vars),
             degree=a.phase.degree(), phase_terms=len(a.phase.monomials))
     rows, cols = 1 << m, 1 << n
-    if a.scalar.zero:
-        return Matrix.zeros(rows, cols)
+    if not a.scalar:
+        return [[Amplitude(0)] * cols for _ in range(rows)]
     size = 1 << len(free_vars)
     full = (1 << size) - 1
     table = {}
@@ -282,10 +258,9 @@ def evaluate(a: PathSum, max_vars: int = DEFAULT_MAX_EVAL_VARS) -> Matrix:
         if not point:
             break
     unused = k - wire_mask.bit_count() - len(free_vars)
-    amps = {c: Amplitude.from_count(c << unused, a.scalar) for c in set(counts)}
-    entries = [[amps[c] for c in counts[r * cols:(r + 1) * cols]]
-               for r in range(rows)]
-    return Matrix(rows, cols, entries)
+    amps = {c: Amplitude(c << unused) * a.scalar for c in set(counts)}
+    return [[amps[c] for c in counts[r * cols:(r + 1) * cols]]
+            for r in range(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +296,7 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     k0 = len(inputs)
     phase: set[int] = set()
     k = _fold_gates(circuit.gates, out, phase, k0)
-    return PathSum(Scalar.pow2(k0 - k), k, BoolPoly(frozenset(phase)),
+    return PathSum(Amplitude(1, k0 - k), k, BoolPoly(frozenset(phase)),
                    tuple(BoolPoly(frozenset(o)) for o in out), inputs)
 
 
@@ -353,7 +328,7 @@ def _fold_gates(gates, out: list[set[int]], phase: set[int], k: int) -> int:
 def to_dict(a: PathSum) -> dict:
     """JSON-ready dict with deterministic key order."""
     return {
-        "scalar": {"zero": a.scalar.zero, "half_exp": a.scalar.half_exp},
+        "scalar": {"zero": not a.scalar, "half_exp": a.scalar.half_exp},
         "num_vars": a.num_vars,
         "phase": a.phase.to_lists(),
         "outputs": [p.to_lists() for p in a.outputs],
@@ -371,8 +346,8 @@ def _typed(value, kind: type, what: str):
 def from_dict(data: Mapping) -> PathSum:
     try:
         sc = data["scalar"]
-        scalar = Scalar(_typed(sc["zero"], bool, "zero"),
-                        _typed(sc["half_exp"], int, "half_exp"))
+        scalar = Amplitude(0 if _typed(sc["zero"], bool, "zero") else 1,
+                           _typed(sc["half_exp"], int, "half_exp"))
         num_vars = _typed(data["num_vars"], int, "num_vars")
         phase = BoolPoly.from_lists(data["phase"], num_vars)
         outputs = tuple(BoolPoly.from_lists(p, num_vars) for p in data["outputs"])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import Circuit, Gate, HiddenShiftSpec, random_circuit
-from pathsum.exact import Amplitude, Scalar
-from pathsum.sums import Matrix, PathSum, bra, compose, interpret, ket
+from pathsum.exact import Amplitude
+from pathsum.sums import PathSum, bra, compose, interpret, ket
 
 
 def bits_to_index(bits):
@@ -34,50 +34,49 @@ def eval_mask(p, point):
     return sum(m & point == m for m in p.monomials) & 1
 
 
+# dense matrices are lists of rows of Amplitudes, as ``evaluate`` returns
+
 def identity_matrix(size):
-    return Matrix(size, size, [[Amplitude(int(i == j)) for j in range(size)]
-                               for i in range(size)])
+    return [[Amplitude(int(i == j)) for j in range(size)] for i in range(size)]
 
 
 def column(m, j):
-    return [row[j] for row in m.entries]
+    return [row[j] for row in m]
 
 
 def matmul(a, b):
-    assert a.cols == b.rows
-    return Matrix(a.rows, b.cols, [
-        [sum((x * y for x, y in zip(row, col)), Amplitude(0))
-         for col in zip(*b.entries)] for row in a.entries])
+    assert len(a[0]) == len(b)
+    return [[sum((x * y for x, y in zip(row, col)), Amplitude(0))
+             for col in zip(*b)] for row in a]
 
 
 def kron(a, b):
-    p, q = b.rows, b.cols
-    return Matrix(a.rows * p, a.cols * q, [
-        [a.entries[i // p][j // q] * b.entries[i % p][j % q]
-         for j in range(a.cols * q)] for i in range(a.rows * p)])
+    p, q = len(b), len(b[0])
+    return [[a[i // p][j // q] * b[i % p][j % q]
+             for j in range(len(a[0]) * q)] for i in range(len(a) * p)]
 
 
 def dagger(a):
     """Transpose; every entry is real."""
-    return Matrix(a.cols, a.rows, [list(col) for col in zip(*a.entries)])
+    return [list(col) for col in zip(*a)]
 
 
 def gate_sem(gate):
     """The defining path sum of one gate, on its own wires."""
     if gate.kind == "h":
         x, y = BoolPoly.var(0), BoolPoly.var(1)
-        return PathSum(Scalar.pow2(-1), 2, x * y, (y,), (x,))
+        return PathSum(Amplitude(1, -1), 2, x * y, (y,), (x,))
     if gate.kind == "x":
         x = BoolPoly.var(0)
-        return PathSum(Scalar.ONE, 1, BoolPoly.zero(),
+        return PathSum(Amplitude(1), 1, BoolPoly.zero(),
                        (x + BoolPoly.one(),), (x,))
     if gate.kind == "z":
         arity = len(gate.qubits)
         wires = tuple(BoolPoly.var(i) for i in range(arity))
-        return PathSum(Scalar.ONE, arity, BoolPoly([(1 << arity) - 1]),
+        return PathSum(Amplitude(1), arity, BoolPoly([(1 << arity) - 1]),
                        wires, wires)
     x, y = BoolPoly.var(0), BoolPoly.var(1)  # swap
-    return PathSum(Scalar.ONE, 2, BoolPoly.zero(), (y, x), (x, y))
+    return PathSum(Amplitude(1), 2, BoolPoly.zero(), (y, x), (x, y))
 
 
 def apply_simple_transform(a, phi):
@@ -115,7 +114,7 @@ def random_path_sum(rng, max_vars=8, max_wires=3, n_in=None, n_out=None):
                     for _ in range(n_out))
     inputs = tuple(_random_poly(rng, k, rng.randint(0, 2), max_degree=2)
                    for _ in range(n_in))
-    return PathSum(Scalar.pow2(rng.randint(-6, 6)), k, phase, outputs, inputs)
+    return PathSum(Amplitude(1, rng.randint(-6, 6)), k, phase, outputs, inputs)
 
 
 def _fuzz_circuit(rng, max_qubits, max_gates):
@@ -209,7 +208,7 @@ def path_sums(draw, max_vars=7):
     term = st.lists(st.integers(0, k - 1), max_size=3) if k else st.just([])
     poly = lambda size: st.lists(term, max_size=size).map(
         lambda terms: poly_of(*terms))
-    return PathSum(Scalar.pow2(draw(st.integers(-4, 4))), k, draw(poly(8)),
+    return PathSum(Amplitude(1, draw(st.integers(-4, 4))), k, draw(poly(8)),
                    draw(st.lists(poly(2), max_size=3)),
                    draw(st.lists(poly(2), max_size=3)))
 

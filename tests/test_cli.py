@@ -241,12 +241,19 @@ class TestHiddenShift:
         assert json.loads(r2.stdout)["shift"] == "1100"
 
     def test_gen_ignores_guard_env_var(self, tmp_path):
-        # only subcommands with --max-eval-vars read the variable
+        # only subcommands with --max-eval-vars read the variable;
+        # gen and normalize never evaluate, so they have no guard
         out = tmp_path / "hs.pathsum"
         bad = {"PATHSUM_MAX_EVAL_VARS": "lots"}
         r = run("hidden-shift-gen", "--n", "4", "--shift", "0110",
                 "-o", str(out), env_extra=bad)
         assert r.returncode == 0 and out.exists()
+        nf = run("normalize", "--circuit", str(out), "--in", "0000")
+        r = run("normalize", "--circuit", str(out), "--in", "0000",
+                env_extra=bad)
+        assert nf.returncode == r.returncode == 0 and r.stdout == nf.stdout
+        r = run("normalize", "--circuit", str(out), "--max-eval-vars", "1")
+        assert r.returncode == 2 and "--max-eval-vars" in r.stderr
         r2 = run("hidden-shift-solve", "--circuit", str(out), env_extra=bad)
         assert r2.returncode == 2
         assert "PATHSUM_MAX_EVAL_VARS" in r2.stderr
@@ -362,7 +369,17 @@ class TestCheckConfluence:
         r = run("check-confluence", "--trials", "5", "--max-vars", "12",
                 "--seed", "3")
         assert r.returncode == 0
-        assert "falling back" in r.stderr
+        assert "--max-vars 12 > 8: the simple-equivalence cap stays 8" in r.stderr
+
+    def test_evaluation_fallback_passes(self):
+        # at cap 0 every normal form with a variable is compared by
+        # evaluation; the two normalizers' values must agree exactly
+        r = run("check-confluence", "--trials", "50", "--max-vars", "0",
+                "--seed", "1", "--json")
+        assert r.returncode == 0
+        data = json.loads(r.stdout)
+        assert data["eval_fallbacks"] > 0 and data["failures"] == 0
+        assert data["passes"] == 50
 
     def test_reproducible(self):
         a = run("check-confluence", "--trials", "10", "--seed", "9", "--json")

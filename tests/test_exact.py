@@ -1,4 +1,4 @@
-"""Exact scalar/amplitude arithmetic."""
+"""Exact amplitude arithmetic (path-sum scalars are amplitudes too)."""
 
 import math
 import random
@@ -7,28 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathsum.exact import Amplitude, ParityError, Scalar
-
-
-class TestScalar:
-    def test_one_and_zero(self):
-        assert float(Scalar.ONE) == 1.0
-        assert float(Scalar.ZERO) == 0.0
-        assert Scalar.ZERO.zero and Scalar.ZERO.half_exp == 0
-
-    def test_zero_normalizes_exponent(self):
-        assert Scalar(True, 17) == Scalar.ZERO
-
-    def test_multiplication(self):
-        h = Scalar.pow2(-1)  # 1/sqrt(2)
-        assert h * h == Scalar.pow2(-2)
-        assert h * Scalar.ZERO == Scalar.ZERO
-        assert math.isclose(float(h), 1 / math.sqrt(2))
-
-    def test_doubled_and_pow2(self):
-        assert Scalar.ONE.times_pow2(1) == Scalar.pow2(2)
-        assert Scalar.ONE.times_pow2(-3) == Scalar.pow2(-6)
-        assert Scalar.ZERO.times_pow2(1) == Scalar.ZERO
+from pathsum.exact import Amplitude, ParityError
 
 
 class TestAmplitude:

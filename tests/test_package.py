@@ -6,16 +6,15 @@ from pathlib import Path
 
 import pathsum
 from pathsum.boolpoly import BoolPoly
-from pathsum.exact import Scalar
-from pathsum.sums import Matrix
+from pathsum.exact import Amplitude
 
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "Amplitude", "BoolPoly", "Circuit", "CircuitParseError",
     "DEFAULT_MAX_EVAL_VARS", "DETERMINISTIC_FIRST", "EvalGuardError", "Gate",
-    "HiddenShiftSpec", "Matrix", "NonDeterministicOutcomeError", "ParityError",
-    "PathSum", "RewriteStep", "Rule", "Scalar", "ShiftResult",
+    "HiddenShiftSpec", "NonDeterministicOutcomeError", "ParityError",
+    "PathSum", "RewriteStep", "Rule", "ShiftResult",
     "SimulationConsistencyError", "StaleStepError", "Strategy", "VarCapError",
     "adjoint", "apply", "bra", "compose", "evaluate", "find_rewrites",
     "from_dict", "from_json", "hidden_shift_circuit", "identity", "interpret",
@@ -28,10 +27,9 @@ PUBLIC = [
 #: names deleted from the package or moved to tests/support.py, by the
 #: module or class that held them
 GONE = {"circuit": "Volume volume random_hidden_shift_spec", "sim": "Probability",
-        "sums": "apply_simple_transform gate_sem",
+        "sums": "apply_simple_transform gate_sem Matrix", "exact": "Scalar",
         "fuzz": "random_path_sum _random_poly", "boolpoly": "_assigned_mask"}
-GONE_METHODS = {BoolPoly: "of eval_at eval_mask vars", Scalar: "doubled conjugate",
-                Matrix: "__matmul__ kron dagger identity column"}
+GONE_METHODS = {BoolPoly: "of eval_at eval_mask vars", Amplitude: "from_count"}
 
 
 def test_public_surface_is_pinned():

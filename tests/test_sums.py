@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 
 from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import Circuit, Gate, random_circuit
-from pathsum.exact import Amplitude, Scalar
+from pathsum.exact import Amplitude
 from pathsum.fuzz import random_path_sum_from_circuit
 from pathsum.oracle import statevector_oracle
 from pathsum.rewrite import DETERMINISTIC_FIRST, normalize
-from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, Matrix,
-                          PathSum, adjoint, bra, compose, evaluate, from_dict,
-                          from_json, identity, interpret, ket, tensor, to_dict,
-                          to_json, zero_op)
+from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, PathSum,
+                          adjoint, bra, compose, evaluate, from_dict, from_json,
+                          identity, interpret, ket, tensor, to_dict, to_json,
+                          zero_op)
 from support import (apply_simple_transform, bits_to_index, circuits, column,
                      dagger, eval_mask, gate_sem, identity_matrix,
                      interpreted_path_sum_from_circuit, kron, matmul,
@@ -38,36 +38,45 @@ def per_point_evaluate(a):
     """The one-assignment-at-a-time loop ``evaluate`` used to run: the
     reference its bit-parallel form must equal exactly."""
     rows, cols = 1 << len(a.outputs), 1 << len(a.inputs)
-    if a.scalar.zero:
-        return Matrix.zeros(rows, cols)
+    if not a.scalar:
+        return [[Amplitude(0)] * cols for _ in range(rows)]
     counts = [[0] * cols for _ in range(rows)]
     for point in range(1 << a.num_vars):
         r = bits_to_index(eval_mask(p, point) for p in a.outputs)
         c = bits_to_index(eval_mask(p, point) for p in a.inputs)
         counts[r][c] += -1 if eval_mask(a.phase, point) else 1
-    return Matrix(rows, cols, [[Amplitude.from_count(counts[r][c], a.scalar)
-                                for c in range(cols)] for r in range(rows)])
+    return [[Amplitude(c) * a.scalar for c in row] for row in counts]
 
 
 class TestMake:
     def test_constant_ket_one(self):
-        s = PathSum(Scalar.ONE, 0, BoolPoly.zero(), [BoolPoly.one()], [])
+        s = PathSum(Amplitude(1), 0, BoolPoly.zero(), [BoolPoly.one()], [])
         assert column(evaluate(s), 0) == [Amplitude(0), Amplitude(1)]
 
     def test_hadamard_tuple(self):
-        s = PathSum(Scalar.pow2(-1), 2, x0 * x1, [x1], [x0])
+        s = PathSum(Amplitude(1, -1), 2, x0 * x1, [x1], [x0])
         assert s == gate_sem(Gate("h", (0,)))
 
     def test_out_of_range_variable(self):
         with pytest.raises(ValueError, match="out of range"):
-            PathSum(Scalar.ONE, 2, BoolPoly.var(5), [], [])
+            PathSum(Amplitude(1), 2, BoolPoly.var(5), [], [])
+
+    def test_scalar_is_zero_or_power_of_sqrt2(self):
+        for bad in (Amplitude(3), Amplitude(-1), Amplitude(3, -1)):
+            with pytest.raises(ValueError, match="power of sqrt"):
+                PathSum(bad, 0, BoolPoly.zero(), [], [])
+        assert PathSum(Amplitude(2), 0, BoolPoly.zero(), [], []).scalar == \
+            Amplitude(1, 2)
+        s = from_dict({"scalar": {"zero": True, "half_exp": 5}, "num_vars": 0,
+                       "phase": [], "outputs": [], "inputs": []})
+        assert s.scalar == Amplitude(0) and s == zero_op(0, 0)
 
 
 class TestIdentityZero:
     def test_identity_zero_wires(self):
         s = identity(0)
         m = evaluate(s)
-        assert m.rows == m.cols == 1 and m[0, 0].is_one()
+        assert len(m) == len(m[0]) == 1 and m[0][0].is_one()
 
     def test_identity_two_wires(self):
         assert evaluate(identity(2)) == identity_matrix(4)
@@ -81,23 +90,23 @@ class TestIdentityZero:
             assert left == evaluate(a, 16) == right
 
     def test_zero_op_eval(self):
-        assert evaluate(zero_op(1, 1)) == Matrix.zeros(2, 2)
+        assert evaluate(zero_op(1, 1)) == [[Amplitude(0)] * 2] * 2
         m = evaluate(zero_op(0, 0))
-        assert m[0, 0] == Amplitude(0)
+        assert m[0][0] == Amplitude(0)
 
     def test_zero_absorbs_under_tensor(self):
-        assert evaluate(tensor(zero_op(1, 1), identity(1))) == Matrix.zeros(4, 4)
+        assert evaluate(tensor(zero_op(1, 1), identity(1))) == [[Amplitude(0)] * 4] * 4
 
 
 class TestKetBra:
     def test_ket_column(self):
         m = evaluate(ket("10"))
-        assert m.cols == 1 and m[bits_to_index((1, 0)), 0].is_one()
-        assert sum(1 for r in range(4) if not m[r, 0].is_zero()) == 1
+        assert len(m[0]) == 1 and m[bits_to_index((1, 0))][0].is_one()
+        assert sum(1 for r in range(4) if not m[r][0].is_zero()) == 1
 
     def test_orthonormality(self):
-        assert evaluate(compose(bra("1"), ket("1")))[0, 0].is_one()
-        assert evaluate(compose(bra("0"), ket("1")))[0, 0].is_zero()
+        assert evaluate(compose(bra("1"), ket("1")))[0][0].is_one()
+        assert evaluate(compose(bra("0"), ket("1")))[0][0].is_zero()
 
     def test_bit_validation(self):
         with pytest.raises(ValueError):
@@ -116,7 +125,7 @@ class TestCompose:
     def test_hadamard_amplitude(self):
         h = gate_sem(Gate("h", (0,)))
         m = evaluate(compose(bra("0"), compose(h, ket("0"))))
-        assert m[0, 0] == Amplitude(1, -1)
+        assert m[0][0] == Amplitude(1, -1)
 
     def test_signature_mismatch(self):
         with pytest.raises(ValueError, match="signature"):
@@ -130,7 +139,7 @@ class TestTensor:
     def test_hh_on_00(self):
         h = gate_sem(Gate("h", (0,)))
         m = evaluate(compose(tensor(h, h), ket("00")))
-        assert all(m[r, 0] == Amplitude(1, -2) for r in range(4))
+        assert all(m[r][0] == Amplitude(1, -2) for r in range(4))
 
 
 class TestAdjoint:
@@ -154,18 +163,18 @@ class TestEvaluate:
         for r in range(8):
             for c in range(8):
                 if r != c:
-                    assert m[r, c].is_zero()
+                    assert m[r][c].is_zero()
                 else:
-                    assert m[r, c] == (Amplitude(-1) if r == 7 else Amplitude(1))
+                    assert m[r][c] == (Amplitude(-1) if r == 7 else Amplitude(1))
 
     def test_swap_permutation(self):
         m = evaluate(gate_sem(Gate("swap", (0, 1))))
-        assert m[1, 2].is_one() and m[2, 1].is_one()
-        assert m[1, 1].is_zero() and m[2, 2].is_zero()
+        assert m[1][2].is_one() and m[2][1].is_one()
+        assert m[1][1].is_zero() and m[2][2].is_zero()
 
     def test_total_interference(self):
-        s = PathSum(Scalar.ONE, 1, BoolPoly.var(0), (), ())
-        assert evaluate(s)[0, 0] == Amplitude(0)  # (+1) + (-1)
+        s = PathSum(Amplitude(1), 1, BoolPoly.var(0), (), ())
+        assert evaluate(s)[0][0] == Amplitude(0)  # (+1) + (-1)
 
     def test_guard(self):
         s = identity(3)
@@ -182,7 +191,7 @@ class TestEvaluate:
 
     def test_guard_names_refused_structure(self):
         # x0 on the output, x1..x3 only in the phase, of degree 3
-        s = PathSum(Scalar.ONE, 4, poly_of((0, 1, 2), (3,), (1, 3)),
+        s = PathSum(Amplitude(1), 4, poly_of((0, 1, 2), (3,), (1, 3)),
                     (BoolPoly.var(0),), ())
         with pytest.raises(EvalGuardError) as err:
             evaluate(s, max_vars=3)
@@ -233,38 +242,38 @@ class TestEvaluate:
         # sum over x, y in F_2^10 of (-1)^(x.y): only x = 0 survives, 2^10;
         # adding x_0 + y_0 moves the survivor to x = e_0 with sign -1
         ip = poly_of(*((i, 10 + i) for i in range(10)))
-        closed = PathSum(Scalar.ONE, 20, ip, (), ())
-        assert evaluate(closed)[0, 0] == Amplitude(2 ** 10)
-        tilted = PathSum(Scalar.ONE, 20, ip + poly_of((0,), (10,)), (), ())
-        assert evaluate(tilted)[0, 0] == Amplitude(-2 ** 10)
+        closed = PathSum(Amplitude(1), 20, ip, (), ())
+        assert evaluate(closed)[0][0] == Amplitude(2 ** 10)
+        tilted = PathSum(Amplitude(1), 20, ip + poly_of((0,), (10,)), (), ())
+        assert evaluate(tilted)[0][0] == Amplitude(-2 ** 10)
 
 
 class TestGateSem:
     def test_h_matrix(self):
         m = evaluate(gate_sem(Gate("h", (0,))))
         r = Amplitude(1, -1)
-        assert [m[0, 0], m[0, 1], m[1, 0], m[1, 1]] == [r, r, r, -r]
+        assert [m[0][0], m[0][1], m[1][0], m[1][1]] == [r, r, r, -r]
 
     def test_x_matrix(self):
         m = evaluate(gate_sem(Gate("x", (0,))))
-        assert m[0, 1].is_one() and m[1, 0].is_one()
-        assert m[0, 0].is_zero() and m[1, 1].is_zero()
+        assert m[0][1].is_one() and m[1][0].is_one()
+        assert m[0][0].is_zero() and m[1][1].is_zero()
 
     def test_cz_matrix(self):
         m = evaluate(gate_sem(Gate("z", (0, 1))))
         for i in range(4):
-            assert m[i, i] == (Amplitude(-1) if i == 3 else Amplitude(1))
+            assert m[i][i] == (Amplitude(-1) if i == 3 else Amplitude(1))
 
     def test_plain_z(self):
         m = evaluate(gate_sem(Gate("z", (0,))))
-        assert m[0, 0].is_one() and m[1, 1] == Amplitude(-1)
+        assert m[0][0].is_one() and m[1][1] == Amplitude(-1)
 
     def test_every_gate_unitary(self):
         for gate in (Gate("h", (0,)), Gate("x", (0,)), Gate("z", (0,)),
                      Gate("z", (0, 1)), Gate("z", (0, 1, 2)),
                      Gate("swap", (0, 1))):
             u = evaluate(gate_sem(gate))
-            assert matmul(dagger(u), u) == identity_matrix(u.cols), gate.kind
+            assert matmul(dagger(u), u) == identity_matrix(len(u[0])), gate.kind
 
 
 def reference_interpret(circuit: Circuit) -> PathSum:
@@ -287,7 +296,7 @@ def reference_interpret(circuit: Circuit) -> PathSum:
             phase ^= math.prod((out[q] for q in qs), start=BoolPoly.one()).monomials
         else:  # swap
             out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
-    return PathSum(Scalar.pow2(n - k), k, BoolPoly(frozenset(phase)),
+    return PathSum(Amplitude(1, n - k), k, BoolPoly(frozenset(phase)),
                    tuple(out), inputs)
 
 
@@ -336,7 +345,7 @@ class TestInterpret:
     def test_gate_on_lower_wire(self):
         c = Circuit(2, (Gate("x", (1,)),))
         m = evaluate(interpret(c))
-        assert m[1, 0].is_one() and m[0, 1].is_one()
+        assert m[1][0].is_one() and m[0][1].is_one()
 
     def test_matches_one_gate_fold(self):
         # the layer-by-layer composition interpret used to perform
@@ -369,7 +378,7 @@ class TestInterpret:
             hs = sum(1 for g in c.gates if g.kind == "h")
             s = interpret(c)
             assert s.num_vars == n + hs
-            assert s.scalar == Scalar.pow2(-hs)
+            assert s.scalar == Amplitude(1, -hs)
 
 
 class TestInterpretOnInput:
@@ -390,7 +399,7 @@ class TestInterpretOnInput:
             for bits in self.inputs(n):
                 s = interpret(c, bits)
                 assert (s.num_vars, s.signature) == (hs, (0, n))
-                assert s.scalar == Scalar.pow2(-hs)
+                assert s.scalar == Amplitude(1, -hs)
                 assert evaluate(s) == evaluate(
                     compose(interpret(c), ket(bits))), (i, bits)
 
