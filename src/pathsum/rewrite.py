@@ -29,12 +29,15 @@ so slot order is the (rank, pivot) order of ``find_rewrites`` and step
 i is found by one O(log k) descent (Fenwick 1994).  Both strategies
 share the chooser and the step application.
 
-The trace ``normalize`` returns is a ``Trace``: a sequence of
+The loop keeps the input's variable numbering: a removed pivot leaves
+a gap, and the result is renumbered densely once, at the end.  The
+trace ``normalize`` returns is a ``Trace``: a sequence of
 ``RewriteStep``s built on first read.  The loop records each step as a
-few ints (rank, dense pivot, and for HH the dense target and substituent
-masks); the steps are made from them, through ``RewriteStep``'s
-validating constructor, the first time the trace is indexed or iterated.
-Its length costs nothing, and the drivers read no more than that.
+few ints in input indices (rank and pivot, and for HH the target and
+the cofactor masks); the steps are renumbered and made from them,
+through ``RewriteStep``'s validating constructor, the first time the
+trace is indexed or iterated.  Its length costs nothing, and the
+drivers read no more than that.
 
 ``reduce`` runs the same deterministic loop with one more rank after
 HH, for dense evaluation only: a wire-free pivot whose cofactor is
@@ -50,6 +53,7 @@ import random
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .boolpoly import BoolPoly, mask_bits
@@ -120,24 +124,38 @@ def seeded_random(seed: int) -> Strategy:
 class Trace(Sequence):
     """The steps of one normalization, as ``RewriteStep``s built on first read.
 
-    It holds each step as (rank, pivot) or (2, pivot, target, Q masks),
-    with dense indices, and builds the steps once, the first time it is
-    indexed or iterated.  ``len`` needs no steps.  It compares equal to
-    the list of the same steps and to another ``Trace`` of them.
+    It holds each step as (rank, pivot) or (2, pivot, target, cofactor
+    masks), in the numbering of the input's ``k0`` variables, and builds
+    the steps once, the first time it is indexed or iterated: it replays
+    the pivots' removal on a sorted list of the variables still there, so
+    each step is numbered densely on the sum it applies to.  ``len``
+    needs no steps.  It compares equal to the list of the same steps and
+    to another ``Trace`` of them.
     """
 
-    __slots__ = ("_raw", "_steps")
+    __slots__ = ("_raw", "_k0", "_steps")
 
-    def __init__(self, raw: list[tuple]):
+    def __init__(self, raw: list[tuple], k0: int):
         self._raw = raw
+        self._k0 = k0
         self._steps: Optional[list[RewriteStep]] = None
 
     def _built(self) -> list[RewriteStep]:
         if self._steps is None:
-            self._steps = [
-                RewriteStep(Rule.HH, r[1], r[2], BoolPoly(r[3]))
-                if r[0] == 2 else RewriteStep(_RULES[r[0]], r[1])
-                for r in self._raw]
+            ranks = list(range(self._k0))  # variables left: index = number
+            steps = []
+            for r in self._raw:
+                pivot = bisect_left(ranks, r[1])
+                if r[0] == 2:  # cofactor y + Q, each mask of Q 0 or one bit
+                    ybit = 1 << r[2]
+                    q = frozenset(m and 1 << bisect_left(ranks, m.bit_length() - 1)
+                                  for m in r[3] if m != ybit)
+                    steps.append(RewriteStep(Rule.HH, pivot, bisect_left(ranks, r[2]),
+                                             BoolPoly(q)))
+                else:
+                    steps.append(RewriteStep(_RULES[r[0]], pivot))
+                del ranks[pivot]
+            self._steps = steps
         return self._steps
 
     def __len__(self) -> int:
@@ -289,7 +307,7 @@ def normalize(a: PathSum, strategy: Strategy = DETERMINISTIC_FIRST
     """
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
     nf, raw = _run(a, rng, False)
-    return nf, Trace(raw)
+    return nf, Trace(raw, a.num_vars)
 
 
 def reduce(a: PathSum) -> PathSum:
@@ -339,9 +357,9 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
 
     Step i is drawn from ``rng``, or is 0 without one.  With ``affine``
     the rules come from ``_affine_rule_at``; its steps are not traced.
-    The phase and the output/input polynomials are edited by one
-    ``toggle``, and y <- Q is substituted in all of them by one pass.
-    Returns the result and the raw steps that ``Trace`` reads.
+    The loop keeps the input's variable numbering throughout: the raw
+    steps it returns for ``Trace`` name input variables, and the result
+    is renumbered once, at the end, onto the variables left.
     """
     k0 = a.num_vars
     if k0 == 0:
@@ -355,16 +373,18 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
     # each variable's index keys monomial m of polys[p] as p << k0 | m,
     # naming both: pocc holds the phase's (p = 0, key m), oipos the wires'
     pocc: list[set[int]] = [set() for _ in range(k0)]
-    for m in phase:
-        for b in mask_bits(m):
-            pocc[b].add(m)
     oipos: list[set[int]] = [set() for _ in range(k0)]
-    for p in range(1, len(polys)):
-        for m in polys[p]:
-            for b in mask_bits(m):
-                oipos[b].add(p << k0 | m)
+    for p, poly in enumerate(polys):
+        index = oipos if p else pocc
+        tag = p << k0
+        for m in poly:
+            key = tag | m
+            bits = m
+            while bits:
+                low = bits & -bits
+                index[low.bit_length() - 1].add(key)
+                bits ^= low
 
-    ranks = list(range(k0))  # alive variables, ascending: index = dense rank
     # One Fenwick tree over the slots rank * k0 + v, that is the per-rank
     # arrays end to end, of each variable's step count: 1 for ELIM, Z and
     # affine, the targets for HH.  Slot order is the (rank, pivot) order
@@ -385,61 +405,10 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
                 tree[i] += c
                 i += i & -i
     top = 1 << (size.bit_length() - 1)
-    touched = 0  # mask of the variables whose occurrences the step edits
+    alive = bytearray(b"\1") * k0
     elims = 0
     cap = 0  # phase size past which no affine step is taken
     trace: list[tuple] = []  # the raw steps, as Trace holds them
-
-    def recount(v: int, rule):
-        """Move variable v's step count to the slot of its new rule."""
-        nonlocal total
-        rules[v] = rule
-        new_slot = new_count = 0
-        if rule is not None:
-            new_slot = rule[0] * k0 + v + 1
-            new_count = len(rule[1]) or 1
-        i = slot[v]
-        if i == new_slot and count[v] == new_count:
-            return
-        if i:
-            d = count[v]
-            total -= d
-            while i <= size:
-                tree[i] -= d
-                i += i & -i
-        i = new_slot
-        if i:
-            total += new_count
-            while i <= size:
-                tree[i] += new_count
-                i += i & -i
-        slot[v] = new_slot
-        count[v] = new_count
-
-    def toggle(poly: set[int], index, m: int, key):
-        """Add or cancel monomial m in poly, and key in m's variables' index."""
-        if m in poly:
-            poly.remove(m)
-            edit = set.remove
-        else:
-            poly.add(m)
-            edit = set.add
-        bits = m
-        while bits:
-            low = bits & -bits
-            edit(index[low.bit_length() - 1], key)
-            bits ^= low
-
-    def dense(m: int) -> int:
-        out = 0
-        while m:
-            low = m & -m
-            out |= 1 << bisect_left(ranks, low.bit_length() - 1)
-            m ^= low
-        return out
-
-    def dense_poly(masks) -> BoolPoly:
-        return BoolPoly(frozenset(map(dense, masks)))
 
     while total:
         # step i is in the first slot whose prefix sum exceeds i; the
@@ -456,31 +425,36 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
         if len(trace) >= k0:
             raise RuntimeError("rewrite count exceeded the variable count")
         rule = rules[x]
-        pivot = bisect_left(ranks, x)
         if rank == 1:
-            trace.append((1, pivot))
+            trace.append((1, x))
             return zero_op(n_in, n_out), trace
         if rank == 0:
-            trace.append((0, pivot))
+            trace.append((0, x))
             elims += 1
         else:
             y = rule[1][i]
             ybit = 1 << y
             if rank == 2:  # the cofactor rule[2] is y + Q
-                q_masks = [mm for mm in rule[2] if mm != ybit]
-                trace.append((2, pivot, bisect_left(ranks, y),
-                              frozenset(map(dense, q_masks))))
+                trace.append((2, x, y, rule[2]))
             elif not cap:
                 cap = AFFINE_TERM_GROWTH * len(phase)
             elif len(phase) > cap:
                 break  # only affine steps are left: i = 0 takes ranks in order
-        recount(x, None)
-        del ranks[pivot]
+        # the pivot goes: its count leaves the tree; it occurs nowhere
+        # from now on, so no refresh reads its rule, slot or count again
+        alive[x] = 0
+        i = slot[x]
+        c = count[x]
+        total -= c
+        while i <= size:
+            tree[i] -= c
+            i += i & -i
         if rank == 0:
             continue
         # drop the pivot's monomials x * L; each is x or x * v, as every
         # HH or affine cofactor monomial has at most one variable
         xbit = 1 << x
+        touched = 0  # mask of the variables whose occurrences the step edits
         for m in pocc[x]:
             phase.remove(m)
             touched |= m
@@ -498,21 +472,69 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
                 base = key ^ tag ^ ybit
                 touched |= base
                 for lm in rule[2]:
-                    mm = base | lm
-                    toggle(poly, index, mm, mm | tag)
-        # refresh the rules the step touched; of the variables it
-        # removed, only the pivot ever occurs in an edited monomial
-        for v in mask_bits(touched & ~xbit):
+                    bits = m = base | lm
+                    if m in poly:
+                        poly.remove(m)
+                        edit = set.remove
+                    else:
+                        poly.add(m)
+                        edit = set.add
+                    m |= tag  # the key of m in the index
+                    while bits:
+                        low = bits & -bits
+                        edit(index[low.bit_length() - 1], m)
+                        bits ^= low
+        # refresh the rules the step touched, moving each changed step
+        # count to its new slot; of the variables it removed, only the
+        # pivot ever occurs in an edited monomial
+        bits = touched & ~xbit
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            v = low.bit_length() - 1
             rule = rule_at(v, pocc[v], oipos[v])
-            if rule is not rules[v]:
-                recount(v, rule)
-        touched = 0
+            if rule is rules[v]:
+                continue
+            rules[v] = rule
+            new_slot = new_count = 0
+            if rule is not None:
+                new_slot = rule[0] * k0 + v + 1
+                new_count = len(rule[1]) or 1
+            i = slot[v]
+            c = count[v]
+            if i == new_slot and c == new_count:
+                continue
+            total += new_count - c
+            if i:
+                while i <= size:
+                    tree[i] -= c
+                    i += i & -i
+            i = new_slot
+            if i:
+                while i <= size:
+                    tree[i] += new_count
+                    i += i & -i
+            slot[v] = new_slot
+            count[v] = new_count
 
-    result = PathSum(
-        a.scalar * Amplitude(1, 2 * elims), len(ranks), dense_poly(phase),
-        tuple(map(dense_poly, polys[1:1 + n_out])),
-        tuple(map(dense_poly, polys[1 + n_out:])),
-    )
+    # survivor v becomes variable new[v] of the result
+    kept = list(compress(range(k0), alive))
+    new = [0] * k0
+    for j, v in enumerate(kept):
+        new[v] = j
+    out = []
+    for poly in polys:
+        masks = []
+        for m in poly:
+            d = 0
+            while m:
+                low = m & -m
+                d |= 1 << new[low.bit_length() - 1]
+                m ^= low
+            masks.append(d)
+        out.append(BoolPoly(frozenset(masks)))
+    result = PathSum(a.scalar * Amplitude(1, 2 * elims), len(kept), out[0],
+                     tuple(out[1:1 + n_out]), tuple(out[1 + n_out:]))
     return result, trace
 
 

@@ -4,13 +4,18 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import pathsum
+from pathsum.boolpoly import BoolPoly
+from pathsum.circuit import parse, random_circuit, serialize
 from pathsum.fuzz import random_path_sum_from_circuit
+from pathsum.rewrite import RewriteStep, Rule, apply
+from pathsum.sums import as_bits, interpret, to_dict
 
 PYTHON = sys.executable
 #: the child imports the same package as the tests, installed or not
@@ -315,6 +320,21 @@ class TestHiddenShift:
         assert data["rewrite_steps"] <= g.num_vars
 
 
+def parse_step(line: str) -> RewriteStep:
+    """A ``--trace`` line back as the step it prints: ``ELIM x=i``,
+    ``Z x=i`` or ``HH pivot=p target=t Q=q``, q a sum of ``1`` and ``xv``
+    terms, or ``0``."""
+    rule, *fields = line.split()
+    values = dict(field.split("=", 1) for field in fields)
+    if rule != "HH":
+        return RewriteStep(Rule(rule), int(values["x"]))
+    q = BoolPoly.zero()
+    for term in values["Q"].split("+"):
+        if term != "0":
+            q = q + (BoolPoly.one() if term == "1" else BoolPoly.var(int(term[1:])))
+    return RewriteStep(Rule.HH, int(values["pivot"]), int(values["target"]), q)
+
+
 class TestNormalize:
     def test_reduces_hidden_shift_to_constants(self, tmp_path):
         out = str(tmp_path / "hs.pathsum")
@@ -347,6 +367,34 @@ class TestNormalize:
         trace = json.loads(r1.stdout)["trace"]
         assert trace and all(
             line.split()[0] in ("ELIM", "Z", "HH") for line in trace)
+
+    def test_trace_replays_through_apply(self, tmp_path, capsys):
+        # each printed step, parsed back, applies to the sum the step
+        # before it left; the last one leaves the printed normal form
+        from pathsum.cli import main
+        hs = tmp_path / "hs.pathsum"
+        assert main(["hidden-shift-gen", "--n", "8", "--shift", "01101001",
+                     "--g", "0,1,2", "-o", str(hs)]) == 0
+        rc = tmp_path / "rc.pathsum"
+        rc.write_text(serialize(random_circuit(4, 40, seed=3)))
+        rules, shapes = set(), set()
+        for circuit, x in ((hs, "00000000"), (rc, "0000")):
+            for strategy in (("first",), ("random", "--seed", "5")):
+                capsys.readouterr()
+                assert main(["normalize", "--circuit", str(circuit), "--in", x,
+                             "--trace", "--strategy", *strategy]) == 0
+                *lines, last = capsys.readouterr().out.splitlines()
+                cur = interpret(parse(circuit.read_text()), as_bits(x))
+                for line in lines:
+                    step = parse_step(line)
+                    assert step.line() == line
+                    cur = apply(cur, step)
+                    rules.add(step.rule)
+                    if step.rule is Rule.HH:
+                        shapes.add(re.sub(r"x\d+", "x", str(step.substituent)))
+                assert last == json.dumps(to_dict(cur)), (circuit, strategy)
+        assert rules == {Rule.ELIM, Rule.HH}
+        assert shapes == {"0", "1", "x", "x+1"}
 
     def test_help_states_input_and_seed(self):
         # --in builds the state on a basis input rather than composing a

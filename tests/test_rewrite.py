@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsum.boolpoly import BoolPoly, mask_bits
-from pathsum.circuit import Gate
+from pathsum.circuit import Gate, random_circuit
 from pathsum.exact import Amplitude
 from pathsum.fuzz import random_path_sum_from_circuit
 from pathsum.rewrite import (AFFINE_TERM_GROWTH, DETERMINISTIC_FIRST,
@@ -177,6 +177,25 @@ def assert_random_matches_reference(a: PathSum, seed: int) -> list[RewriteStep]:
     return trace
 
 
+def greedy_normalize(a: PathSum) -> tuple[PathSum, list[RewriteStep]]:
+    """The deterministic strategy as a whole-sum loop over the spec:
+    ``find_rewrites(cur)[0]`` applied with ``apply`` until none is left."""
+    cur, greedy = a, []
+    while steps := find_rewrites(cur):
+        greedy.append(steps[0])
+        cur = apply(cur, steps[0])
+    return cur, greedy
+
+
+def assert_deterministic_matches_reference(a: PathSum) -> PathSum:
+    """The deterministic trace and normal form equal the greedy loop's."""
+    nf, trace = normalize(a, DETERMINISTIC_FIRST)
+    ref_nf, ref_trace = greedy_normalize(a)
+    assert trace == ref_trace, a
+    assert to_json(nf) == to_json(ref_nf), a
+    return nf
+
+
 class TestAgainstReference:
     def test_find_rewrites_matches_rule_definitions(self):
         rng = random.Random(79)
@@ -217,15 +236,34 @@ class TestAgainstReference:
     @given(path_sums())
     def test_deterministic_first_is_greedy_property(self, a):
         nf, trace = normalize(a, DETERMINISTIC_FIRST)
-        cur, greedy = a, []
-        while steps := find_rewrites(cur):
-            greedy.append(steps[0])
-            cur = apply(cur, steps[0])
+        cur, greedy = greedy_normalize(a)
         assert trace == greedy and cur == nf
         replayed = a
         for step in trace:
             replayed = apply(replayed, step)
         assert replayed == nf
+
+    def test_deterministic_first_matches_reference_corpus(self):
+        rng = random.Random(81)
+        big = 0
+        for _ in range(1000):
+            a = random_path_sum_from_circuit(rng, max_qubits=4, max_gates=8)
+            assert_deterministic_matches_reference(a)
+            big += a.num_vars > 8
+        assert big > 700  # 817 seen
+
+    def test_deterministic_first_matches_reference_on_large_fold(self):
+        a = random_path_sum_from_circuit(random.Random(16), max_qubits=10,
+                                         max_gates=40)
+        assert a.num_vars >= 300
+        assert_deterministic_matches_reference(a)
+
+    def test_deterministic_first_matches_reference_with_many_survivors(self):
+        # the open unitary keeps most of its variables, so the result is
+        # renumbered with the removed pivots spread among the survivors
+        a = interpret(random_circuit(32, 600, seed=7))
+        nf = assert_deterministic_matches_reference(a)
+        assert (a.num_vars, nf.num_vars) == (140, 100)
 
 
 class TestApply:
@@ -321,13 +359,7 @@ class TestNormalize:
         for _ in range(150):
             a = random_path_sum(rng, max_vars=7)
             nf, trace = normalize(a, DETERMINISTIC_FIRST)
-            cur, greedy = a, []
-            while True:
-                steps = find_rewrites(cur)
-                if not steps:
-                    break
-                greedy.append(steps[0])
-                cur = apply(cur, steps[0])
+            cur, greedy = greedy_normalize(a)
             assert trace == greedy and cur == nf
 
     def test_random_strategy_reproducible(self):
@@ -394,6 +426,24 @@ class TestReduce:
     @given(sums_with_affine_pivot())
     def test_keeps_value_property(self, a):
         assert_reduce_keeps_value(a)
+
+    def test_equals_reduce_of_the_normal_form(self):
+        # the loop is rank-major, so reduce takes every rewrite, as
+        # normalize does, before any affine step: both sums renumber alike
+        rng = random.Random(83)
+        shrunk = 0
+        for i in range(3000):
+            a = (random_path_sum(rng, max_vars=8) if i % 2
+                 else random_path_sum_from_circuit(rng))
+            if i % 4 < 2 and a.num_vars >= 3:
+                a = with_affine_pivot(
+                    a, rng.sample(range(a.num_vars), rng.randint(3, min(5, a.num_vars))),
+                    rng.randrange(2))
+            nf, _ = normalize(a)
+            r = reduce(a)
+            assert to_json(r) == to_json(reduce(nf)), a
+            shrunk += r.num_vars < nf.num_vars
+        assert shrunk > 200  # 263 seen
 
     def test_is_not_a_rewrite(self):
         # the criterion-8 pivot: find_rewrites and normalize leave it, and
