@@ -98,13 +98,20 @@ def parse(text: str, max_controls: int = DEFAULT_MAX_CONTROLS) -> Circuit:
 
     An error names the line and the column of the line's first token
     (of the bad token, for a non-integer); columns are found only then.
+    A gate line that repeats an earlier one, character for character, is
+    parsed once: the repeat shares the first one's (frozen) ``Gate``.
     """
     if not isinstance(text, str):
         raise CircuitParseError("input is not text", 1)
     num_qubits: Optional[int] = None
     gates: list[Gate] = []
+    parsed: dict[str, Gate] = {}  # gate lines that validated, by their text
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
+            gate = parsed.get(raw)
+            if gate is not None:
+                gates.append(gate)
+                continue
             tokens = raw.split("#", 1)[0].split()
             if not tokens:
                 continue
@@ -142,6 +149,7 @@ def parse(text: str, max_controls: int = DEFAULT_MAX_CONTROLS) -> Circuit:
                 q = next(q for q in qubits if q >= num_qubits)
                 raise _LineError(f"qubit {q} out of range for {num_qubits} qubits")
             gates.append(gate)
+            parsed[raw] = gate
     except _LineError as exc:
         raise CircuitParseError(str(exc), lineno,
                                 raw.index(tokens[0]) + 1) from None

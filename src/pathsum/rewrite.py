@@ -23,11 +23,12 @@ time: i = 0 for the deterministic strategy, a draw of the strategy's
 seeded RNG for the random one.  It never rescans the sum.  It keeps an
 index of where each variable occurs, edits it in place, and after each
 step eagerly refreshes ``_rule_at`` for only the variables whose
-occurrences the step edited.  Each variable's step count (1 for ELIM
-and Z, its targets for HH) sits in a Fenwick tree laid out rank-major,
-so slot order is the (rank, pivot) order of ``find_rewrites`` and step
-i is found by one O(log k) descent (Fenwick 1994).  Both strategies
-share the chooser and the step application.
+occurrences the step edited.  The applicable steps sit in one sorted
+list of int keys, one per (rank, pivot, HH target), in the order of
+``find_rewrites``, so step i is the list's item i.  A pivot's removal
+costs a memmove of the list, and a refreshed rule's move a bisection
+and a memmove per edit, all in C.  Both strategies share the chooser
+and the step application.
 
 The loop keeps the input's variable numbering: a removed pivot leaves
 a gap, and the result is renumbered densely once, at the end.  The
@@ -355,8 +356,11 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
          ) -> tuple[PathSum, list[tuple]]:
     """The indexed loop behind ``normalize`` and ``reduce``.
 
-    Step i is drawn from ``rng``, or is 0 without one.  With ``affine``
-    the rules come from ``_affine_rule_at``; its steps are not traced.
+    Step i is drawn from ``rng``, or is 0 without one, and read off the
+    sorted list of the applicable steps' keys.  Each edit of that list is
+    a memmove, after a bisection for a refreshed rule, both in C: O(k)
+    pointers moved and O(log k) comparisons.  With ``affine`` the rules
+    come from ``_affine_rule_at``; its steps are not traced.
     The loop keeps the input's variable numbering throughout: the raw
     steps it returns for ``Trace`` name input variables, and the result
     is renumbered once, at the end, onto the variables left.
@@ -385,43 +389,29 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
                 index[low.bit_length() - 1].add(key)
                 bits ^= low
 
-    # One Fenwick tree over the slots rank * k0 + v, that is the per-rank
-    # arrays end to end, of each variable's step count: 1 for ELIM, Z and
-    # affine, the targets for HH.  Slot order is the (rank, pivot) order
-    # of find_rewrites.
-    size = (4 if affine else 3) * k0
+    # The applicable steps, as sorted keys (rank * k0 + v) * 2 + t, t the
+    # index of the step's HH target (0 for ELIM, Z and affine): key order
+    # is the (rank, pivot, target) order of find_rewrites.
     rules = [None] * k0
-    slot = [0] * k0    # 1-based tree index of each variable's count
-    count = [0] * k0
-    tree = [0] * (size + 1)
-    total = 0
+    steps = []
     for v in range(k0):
         rule = rules[v] = rule_at(v, pocc[v], oipos[v])
         if rule is not None:
-            slot[v] = i = rule[0] * k0 + v + 1
-            count[v] = c = len(rule[1]) or 1
-            total += c
-            while i <= size:
-                tree[i] += c
-                i += i & -i
-    top = 1 << (size.bit_length() - 1)
+            key = (rule[0] * k0 + v) * 2
+            steps.append(key)
+            if len(rule[1]) == 2:
+                steps.append(key + 1)
+    steps.sort()
     alive = bytearray(b"\1") * k0
     elims = 0
     cap = 0  # phase size past which no affine step is taken
     trace: list[tuple] = []  # the raw steps, as Trace holds them
 
-    while total:
-        # step i is in the first slot whose prefix sum exceeds i; the
-        # descent leaves i as its offset there, the HH target index
-        i = rng.randrange(total) if rng else 0
-        pos = 0
-        width = top
-        while width:
-            if pos + width <= size and tree[pos + width] <= i:
-                pos += width
-                i -= tree[pos]
-            width >>= 1
-        rank, x = divmod(pos, k0)
+    while steps:
+        i = rng.randrange(len(steps)) if rng else 0
+        key = steps[i]
+        t = key & 1
+        rank, x = divmod(key >> 1, k0)
         if len(trace) >= k0:
             raise RuntimeError("rewrite count exceeded the variable count")
         rule = rules[x]
@@ -432,7 +422,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
             trace.append((0, x))
             elims += 1
         else:
-            y = rule[1][i]
+            y = rule[1][t]
             ybit = 1 << y
             if rank == 2:  # the cofactor rule[2] is y + Q
                 trace.append((2, x, y, rule[2]))
@@ -440,15 +430,10 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
                 cap = AFFINE_TERM_GROWTH * len(phase)
             elif len(phase) > cap:
                 break  # only affine steps are left: i = 0 takes ranks in order
-        # the pivot goes: its count leaves the tree; it occurs nowhere
-        # from now on, so no refresh reads its rule, slot or count again
+        # the pivot goes: its keys, which start at i - t, leave the list; it
+        # occurs nowhere from now on, so no refresh reads its rule again
         alive[x] = 0
-        i = slot[x]
-        c = count[x]
-        total -= c
-        while i <= size:
-            tree[i] -= c
-            i += i & -i
+        del steps[i - t:i - t + (len(rule[1]) or 1)]
         if rank == 0:
             continue
         # drop the pivot's monomials x * L; each is x or x * v, as every
@@ -484,38 +469,28 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
                         low = bits & -bits
                         edit(index[low.bit_length() - 1], m)
                         bits ^= low
-        # refresh the rules the step touched, moving each changed step
-        # count to its new slot; of the variables it removed, only the
-        # pivot ever occurs in an edited monomial
+        # refresh the rules the step touched, moving each changed rule's
+        # keys; of the variables it removed, only the pivot ever occurs in
+        # an edited monomial
         bits = touched & ~xbit
         while bits:
             low = bits & -bits
             bits ^= low
             v = low.bit_length() - 1
             rule = rule_at(v, pocc[v], oipos[v])
-            if rule is rules[v]:
+            old = rules[v]
+            if rule is old:
                 continue
             rules[v] = rule
-            new_slot = new_count = 0
+            if old is not None:
+                if rule and rule[0] == old[0] and len(rule[1]) == len(old[1]):
+                    continue  # the same keys
+                j = bisect_left(steps, (old[0] * k0 + v) * 2)
+                del steps[j:j + (len(old[1]) or 1)]
             if rule is not None:
-                new_slot = rule[0] * k0 + v + 1
-                new_count = len(rule[1]) or 1
-            i = slot[v]
-            c = count[v]
-            if i == new_slot and c == new_count:
-                continue
-            total += new_count - c
-            if i:
-                while i <= size:
-                    tree[i] -= c
-                    i += i & -i
-            i = new_slot
-            if i:
-                while i <= size:
-                    tree[i] += new_count
-                    i += i & -i
-            slot[v] = new_slot
-            count[v] = new_count
+                key = (rule[0] * k0 + v) * 2
+                j = bisect_left(steps, key)
+                steps[j:j] = (key, key + 1)[:len(rule[1]) or 1]
 
     # survivor v becomes variable new[v] of the result
     kept = list(compress(range(k0), alive))

@@ -85,6 +85,9 @@ def _closed_value(f: PathSum, max_eval_vars: int) -> tuple[Amplitude, int]:
     return evaluate(reduce(nf), max_eval_vars)[0][0], len(trace)
 
 
+_ZERO, _ONE = Amplitude(0), Amplitude(1)
+
+
 def _probability_one(gn: PathSum, qubit: int,
                      max_eval_vars: int) -> tuple[Amplitude, int]:
     """Pr[qubit = 1] in the normalized state sum gn, and the steps taken.
@@ -96,13 +99,13 @@ def _probability_one(gn: PathSum, qubit: int,
     ``_closed_value``, under the guard: 2k + n + 2 variables for k in gn.
     """
     if gn.num_vars == 0:  # each output is the constant 0 or 1
-        bit = len(gn.outputs[qubit].monomials)
-        amp, steps = Amplitude(bit) * gn.scalar * gn.scalar, 0
+        amp = gn.scalar * gn.scalar if gn.outputs[qubit].monomials else _ZERO
+        steps = 0
     else:
         pg = _project_one(gn, qubit)
         f = compose(adjoint(pg), pg)
         amp, steps = _closed_value(f, max_eval_vars)
-    if amp.num < 0 or Amplitude(1) < amp:
+    if amp.num < 0 or _ONE < amp:
         raise SimulationConsistencyError(
             f"probability {amp.render()} outside [0, 1]")
     return amp, steps

@@ -139,6 +139,37 @@ class TestParse:
         assert serialize(c) == "qubits 2\nz 0 1\n"
         assert serialize(parse(serialize(c))) == serialize(c)
 
+    def test_repeated_header_is_not_a_gate(self):
+        # the header line is never stored as a parsed gate line
+        with pytest.raises(CircuitParseError) as err:
+            parse("qubits 2\nqubits 2\n")
+        assert str(err.value) == "line 2, column 1: unknown gate mnemonic 'qubits'"
+
+    @pytest.mark.parametrize("text, message", [
+        ("qubits 3\n  t 0\nh 0\n  t 0\n",
+         "line 2, column 3: unknown gate mnemonic 't'"),
+        ("qubits 3\nh 1\n swap 0 7\nh 1\n swap 0 7\n",
+         "line 3, column 2: qubit 7 out of range for 3 qubits"),
+        ("qubits 3\nz 0 1\n\tz 0 x\nz 0 1\n\tz 0 x\n",
+         "line 3, column 6: expected an integer, got 'x'"),
+    ])
+    def test_bad_repeated_line_reports_first(self, text, message):
+        with pytest.raises(CircuitParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_repeated_lines_share_gates(self):
+        # a repeat of a line shares its Gate; the same gate written with a
+        # comment or other whitespace is parsed on its own, to an equal one
+        text = ("qubits 3\nh 0\ncz 0 2\nh 0\nh 0 # again\n  h\t0\ncz 0 2\n"
+                "cz  0 2  \nh 0\n")
+        c = parse(text)
+        assert c == parse("qubits 3\nh 0\ncz 0 2\nh 0\nh 0\nh 0\ncz 0 2\n"
+                          "cz 0 2\nh 0\n")
+        g = c.gates
+        assert g[0] is g[2] is g[7] and g[1] is g[5]
+        assert g[3] == g[4] == g[0] and g[6] == g[1]
+
 
 class TestRandomCircuit:
     def test_reproducible(self):

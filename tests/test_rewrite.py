@@ -212,14 +212,20 @@ class TestAgainstReference:
     def test_seeded_random_matches_reference_corpus(self):
         rng = random.Random(80)
         rules = Counter()
+        upper = 0  # HH steps whose target is the higher of two bare variables
         for i in range(3000):
             a = (random_path_sum(rng, max_vars=8) if i % 2
                  else random_path_sum_from_circuit(rng))
             for _ in range(2):
                 trace = assert_random_matches_reference(a, rng.getrandbits(32))
                 rules.update(step.rule for step in trace)
+                upper += sum(1 for step in trace if step.rule is Rule.HH
+                             and 0 < step.substituent.vars_mask < 1 << step.target)
         assert rules[Rule.ELIM] > 20000 and rules[Rule.Z] > 800
         assert rules[Rule.HH] > 18000
+        # an HH pivot with two targets has two keys in the normalizer's step
+        # list; taking its second one runs the two-key delete and insert
+        assert upper > 6000  # 7 356 seen
 
     @settings(max_examples=300, deadline=None)
     @given(path_sums(), st.integers(0, 2 ** 32 - 1))
