@@ -14,7 +14,7 @@ from .exact import Amplitude, ParityError
 from .oracle import marginal_one, statevector_oracle
 from .rewrite import (DETERMINISTIC_FIRST, RewriteStep, Rule, StaleStepError,
                       Strategy, VarCapError, apply, find_rewrites, normalize,
-                      reduce, seeded_random, simply_equivalent, trace_lines)
+                      reduce, seeded_random, simply_equivalent)
 from .sim import (NonDeterministicOutcomeError, ShiftResult,
                   SimulationConsistencyError, measure_sim, projector_one,
                   recover_shift, strong_sim)
@@ -33,5 +33,5 @@ __all__ = [
     "ket", "marginal_one", "measure_sim", "normalize", "parse",
     "projector_one", "random_circuit", "recover_shift", "reduce",
     "seeded_random", "serialize", "simply_equivalent", "statevector_oracle",
-    "strong_sim", "tensor", "to_dict", "to_json", "trace_lines", "zero_op",
+    "strong_sim", "tensor", "to_dict", "to_json", "zero_op",
 ]

@@ -19,7 +19,7 @@ SWAP = "swap"
 
 _KINDS = (H, X, CMZ, SWAP)
 
-#: largest number of controls on a C^(m)Z accepted by default (CCZ)
+#: largest number of controls on a C^(m)Z that ``parse`` accepts (CCZ)
 DEFAULT_MAX_CONTROLS = 2
 
 #: largest ``qubits N`` header ``parse`` accepts; interpretation allocates
@@ -60,10 +60,6 @@ class Gate:
         if min(qubits) < 0:  # every kind has at least one qubit by now
             raise ValueError("negative qubit index")
 
-    def controls(self) -> int:
-        """For a C^(m)Z gate, the m; 0 for every other kind."""
-        return len(self.qubits) - 1 if self.kind == CMZ else 0
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -82,9 +78,6 @@ class Circuit:
                         f"but the circuit has {self.num_qubits}"
                     )
 
-    def __len__(self):
-        return len(self.gates)
-
 
 # ---------------------------------------------------------------------------
 # text format
@@ -93,7 +86,7 @@ class Circuit:
 _ALIASES = {"cz": 2, "ccz": 3}
 
 
-def parse(text: str, max_controls: int = DEFAULT_MAX_CONTROLS) -> Circuit:
+def parse(text: str) -> Circuit:
     """Parse the circuit text format; raises CircuitParseError on any input.
 
     An error names the line and the column of the line's first token
@@ -137,10 +130,9 @@ def parse(text: str, max_controls: int = DEFAULT_MAX_CONTROLS) -> Circuit:
             elif head not in _KINDS:
                 raise _LineError(f"unknown gate mnemonic {head!r}")
             qubits = _ints(tokens[1:], lineno, raw)
-            if head == CMZ and len(qubits) > max_controls + 1:
-                raise _LineError(
-                    f"z on {len(qubits)} qubits exceeds the configured "
-                    f"maximum of {max_controls} controls")
+            if head == CMZ and len(qubits) > DEFAULT_MAX_CONTROLS + 1:
+                raise _LineError(f"z on {len(qubits)} qubits exceeds the "
+                                 f"maximum of {DEFAULT_MAX_CONTROLS} controls")
             try:
                 gate = Gate(head, qubits)
             except ValueError as exc:

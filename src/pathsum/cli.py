@@ -11,15 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 
 from . import fuzz
 from .circuit import (CircuitParseError, HiddenShiftSpec, hidden_shift_circuit,
                       parse, serialize)
-from .rewrite import (DETERMINISTIC_FIRST, normalize, seeded_random,
-                      simply_equivalent, trace_lines)
+from .rewrite import DETERMINISTIC_FIRST, normalize, seeded_random, simply_equivalent
 from .sim import NonDeterministicOutcomeError, measure_sim, recover_shift, strong_sim
 # compose is not called here, but stays a module global: the benchmark's
 # tracer (perfbench/tracer.py) wraps every name it looks up in this module
@@ -31,8 +29,6 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_NONDETERMINISTIC = 4
 EXIT_CONFLUENCE = 5
-
-ENV_MAX_EVAL_VARS = "PATHSUM_MAX_EVAL_VARS"
 
 
 def _nonnegative(text: str) -> int:
@@ -47,14 +43,12 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _default_max_eval_vars() -> int:
-    raw = os.environ.get(ENV_MAX_EVAL_VARS)
-    if raw is None:
-        return DEFAULT_MAX_EVAL_VARS
-    try:
-        return _nonnegative(raw)
-    except argparse.ArgumentTypeError as exc:
-        _fail(f"{ENV_MAX_EVAL_VARS} {exc}")
+def _equivalence_cap(text: str) -> int:
+    """A --max-vars value: a nonnegative integer of at most 8."""
+    value = _nonnegative(text)
+    if value > 8:
+        raise argparse.ArgumentTypeError(f"must be at most 8, got {value}")
+    return value
 
 
 def _read_circuit(path: str):
@@ -182,7 +176,7 @@ def cmd_normalize(args) -> int:
     strategy = (DETERMINISTIC_FIRST if args.strategy == "first"
                 else seeded_random(args.seed))
     nf, trace = normalize(s, strategy)
-    lines = trace_lines(trace) if args.trace else []
+    lines = [step.line() for step in trace] if args.trace else []
     payload = {"path_sum": to_dict(nf)}
     if args.trace:
         payload["trace"] = lines
@@ -192,17 +186,13 @@ def cmd_normalize(args) -> int:
 
 def cmd_check_confluence(args) -> int:
     rng = random.Random(args.seed)
-    exact_cap = min(args.max_vars, 8)
-    if args.max_vars > 8:
-        print(f"warning: --max-vars {args.max_vars} > 8: the "
-              f"simple-equivalence cap stays 8", file=sys.stderr)
     passes = failures = eval_fallbacks = 0
     for trial in range(args.trials):
         a = fuzz.random_path_sum_from_circuit(rng)
         det, _ = normalize(a, DETERMINISTIC_FIRST)
         rnd, _ = normalize(a, seeded_random(rng.getrandbits(32)))
-        if det.num_vars <= exact_cap and rnd.num_vars <= exact_cap:
-            ok = simply_equivalent(det, rnd, var_cap=exact_cap)
+        if det.num_vars <= args.max_vars and rnd.num_vars <= args.max_vars:
+            ok = simply_equivalent(det, rnd, var_cap=args.max_vars)
         else:
             eval_fallbacks += 1
             ok = (evaluate(det, args.max_eval_vars)
@@ -234,10 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--circuit", required=True, help="circuit text file")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if guard:
-            p.add_argument("--max-eval-vars", type=_nonnegative, default=None,
-                           dest="max_eval_vars",
+            p.add_argument("--max-eval-vars", type=_nonnegative,
+                           default=DEFAULT_MAX_EVAL_VARS, dest="max_eval_vars",
                            help=f"dense-evaluation guard (default: "
-                                f"${ENV_MAX_EVAL_VARS}, else "
                                 f"{DEFAULT_MAX_EVAL_VARS})")
 
     p = sub.add_parser("amp", help="exact amplitude <out|C|in>")
@@ -285,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_nonnegative, default=100,
                    help="fuzz sums to normalize both ways (default: 100); each "
                         "folds a random circuit of at most 3 qubits and 6 gates")
-    p.add_argument("--max-vars", type=_nonnegative, default=8, dest="max_vars",
+    p.add_argument("--max-vars", type=_equivalence_cap, default=8, dest="max_vars",
                    help="variable cap of the simple-equivalence check (default "
                         "and largest: 8); larger normal forms are compared by "
                         "evaluation.  It does not size the fuzz sums")
@@ -299,9 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # only the subcommands with a guard read the environment
-        if getattr(args, "max_eval_vars", 0) is None:
-            args.max_eval_vars = _default_max_eval_vars()
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT

@@ -179,10 +179,6 @@ class Trace(Sequence):
         return f"Trace({self._built()!r})"
 
 
-def trace_lines(trace: Sequence[RewriteStep]) -> list[str]:
-    return [step.line() for step in trace]
-
-
 # ---------------------------------------------------------------------------
 # detection
 

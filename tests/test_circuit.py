@@ -1,5 +1,6 @@
 """Circuit IR, text format, and the hidden-shift generator."""
 
+import inspect
 import random
 
 import pytest
@@ -78,7 +79,7 @@ class TestParse:
         ("qubits 3\n z 0 1 bad # note\n",
          "line 2, column 8: expected an integer, got 'bad'"),
         ("qubits 4\n\tz 0 1 2 3\n", "line 2, column 2: z on 4 qubits exceeds "
-         "the configured maximum of 2 controls"),
+         "the maximum of 2 controls"),
         ("qubits 3\nswap 1\n", "line 2, column 1: swap takes two qubits, got 1"),
         ("qubits 3\n  z 2 2\n", "line 2, column 3: repeated qubit in z (2, 2)"),
         ("qubits 3\nx -1\n", "line 2, column 1: negative qubit index"),
@@ -99,10 +100,11 @@ class TestParse:
         assert err.value.column == int(column.split()[1])
 
     def test_control_budget(self):
-        with pytest.raises(CircuitParseError, match="maximum"):
+        # file input takes at most two controls, and no argument lifts that
+        assert list(inspect.signature(parse).parameters) == ["text"]
+        with pytest.raises(CircuitParseError, match="maximum of 2 controls"):
             parse("qubits 4\nz 0 1 2 3\n")
-        c = parse("qubits 4\nz 0 1 2 3\n", max_controls=3)
-        assert c.gates[0].controls() == 3
+        assert parse("qubits 4\nz 0 1 2\n").gates == (Gate("z", (0, 1, 2)),)
 
     def test_qubit_cap(self):
         assert parse(f"qubits {MAX_QUBITS}\n").num_qubits == MAX_QUBITS

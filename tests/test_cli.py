@@ -40,6 +40,19 @@ def h_circuit(tmp_path):
 
 
 @pytest.fixture
+def deep_circuit(tmp_path):
+    """Three qubits, (H on each, CCZ) twice, H on each: its amplitude at
+    000 needs more than 2 summation variables after elimination."""
+    lines = ["qubits 3"]
+    for _ in range(2):
+        lines += [f"h {q}" for q in range(3)] + ["z 0 1 2"]
+    lines += [f"h {q}" for q in range(3)]
+    path = tmp_path / "deep.pathsum"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture
 def x_circuit(tmp_path):
     path = tmp_path / "x.pathsum"
     path.write_text("qubits 1\nx 0\n")
@@ -78,14 +91,8 @@ class TestAmp:
         r = run("amp", "--circuit", h_circuit, "--in", "00", "--out", "0")
         assert r.returncode == 2
 
-    def test_guard_exits_3(self, tmp_path):
-        lines = ["qubits 3"]
-        for _ in range(2):
-            lines += [f"h {q}" for q in range(3)] + ["z 0 1 2"]
-        lines += [f"h {q}" for q in range(3)]
-        path = tmp_path / "deep.pathsum"
-        path.write_text("\n".join(lines) + "\n")
-        r = run("amp", "--circuit", str(path), "--in", "000", "--out", "000",
+    def test_guard_exits_3(self, deep_circuit):
+        r = run("amp", "--circuit", deep_circuit, "--in", "000", "--out", "000",
                 "--max-eval-vars", "2")
         assert r.returncode == 3
         # the error names the residual left after affine elimination
@@ -95,11 +102,11 @@ class TestAmp:
             "wire variables, r = 6 phase-only variables, degree 3, 5 phase "
             "terms\n")
 
-    def test_malformed_env_var_reports(self, h_circuit):
+    def test_malformed_guard_flag_exits_2(self, h_circuit):
         r = run("amp", "--circuit", h_circuit, "--in", "0", "--out", "0",
-                env_extra={"PATHSUM_MAX_EVAL_VARS": "lots"})
+                "--max-eval-vars", "lots")
         assert r.returncode == 2
-        assert "PATHSUM_MAX_EVAL_VARS" in r.stderr
+        assert "--max-eval-vars" in r.stderr and "must be an integer" in r.stderr
 
     def test_negative_guard_flag_exits_2(self, h_circuit):
         r = run("amp", "--circuit", h_circuit, "--in", "0", "--out", "0",
@@ -107,54 +114,37 @@ class TestAmp:
         assert r.returncode == 2
         assert "--max-eval-vars" in r.stderr and "nonnegative" in r.stderr
 
-    def test_negative_guard_env_var_exits_2(self, h_circuit):
-        r = run("amp", "--circuit", h_circuit, "--in", "0", "--out", "0",
-                env_extra={"PATHSUM_MAX_EVAL_VARS": "-3"})
-        assert r.returncode == 2
-        assert "PATHSUM_MAX_EVAL_VARS" in r.stderr and "nonnegative" in r.stderr
-
-    def test_negative_guard_in_process_returns_2(self, h_circuit, monkeypatch):
+    def test_negative_guard_in_process_returns_2(self, h_circuit):
         from pathsum.cli import main
         argv = ["amp", "--circuit", h_circuit, "--in", "0", "--out", "0"]
         assert main(argv + ["--max-eval-vars", "-1"]) == 2
-        monkeypatch.setenv("PATHSUM_MAX_EVAL_VARS", "-1")
-        assert main(argv) == 2
 
-    def test_env_var_guard(self, tmp_path):
-        path = tmp_path / "deep.pathsum"
-        lines = ["qubits 3"]
-        for _ in range(2):
-            lines += [f"h {q}" for q in range(3)] + ["z 0 1 2"]
-        lines += [f"h {q}" for q in range(3)]
-        path.write_text("\n".join(lines) + "\n")
-        r = run("amp", "--circuit", str(path), "--in", "000", "--out", "000",
-                env_extra={"PATHSUM_MAX_EVAL_VARS": "2"})
-        assert r.returncode == 3
+    def test_env_var_guard(self, deep_circuit):
+        # the flag is the guard's only setting: a guard of 2 trips on this
+        # circuit, and PATHSUM_MAX_EVAL_VARS=2 changes nothing
+        argv = ("amp", "--circuit", deep_circuit, "--in", "000", "--out", "000")
+        assert run(*argv, "--max-eval-vars", "2").returncode == 3
+        plain = run(*argv)
+        r = run(*argv, env_extra={"PATHSUM_MAX_EVAL_VARS": "2"})
+        assert plain.returncode == r.returncode == 0
+        assert r.stdout == plain.stdout and r.stdout.startswith("amplitude: ")
 
 
 class TestInProcess:
     def test_repeated_main_calls_keep_their_own_defaults(
-            self, h_circuit, tmp_path, monkeypatch, capsys):
+            self, h_circuit, deep_circuit, capsys):
         # main builds its parser once per process; each call must still
-        # get fresh defaults, read the environment anew and exit on its own
+        # get fresh defaults and exit on its own
         from pathsum.cli import _build_parser, main
-        deep = tmp_path / "deep.pathsum"
-        lines = ["qubits 3"]
-        for _ in range(2):
-            lines += [f"h {q}" for q in range(3)] + ["z 0 1 2"]
-        deep.write_text("\n".join(lines + [f"h {q}" for q in range(3)]) + "\n")
-        amp = ["amp", "--circuit", str(deep), "--in", "000", "--out", "000"]
-        monkeypatch.delenv("PATHSUM_MAX_EVAL_VARS", raising=False)
+        amp = ["amp", "--circuit", deep_circuit, "--in", "000", "--out", "000"]
         assert main(["measure", "--circuit", h_circuit, "--in", "0",
                      "--qubit", "0", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["probability"] == {"num": 1, "half_exp": -2}
-        monkeypatch.setenv("PATHSUM_MAX_EVAL_VARS", "2")
-        assert main(amp) == 3
+        assert main(amp + ["--max-eval-vars", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "limit of 2;" in captured.err
-        monkeypatch.setenv("PATHSUM_MAX_EVAL_VARS", "8")
-        assert main(amp) == 0
+        assert main(amp) == 0  # the default guard again
         assert capsys.readouterr().out.startswith("amplitude: ")  # no --json
         assert main(amp + ["--max-eval-vars", "-1"]) == 2
         assert "nonnegative" in capsys.readouterr().err
@@ -246,8 +236,8 @@ class TestHiddenShift:
         assert json.loads(r2.stdout)["shift"] == "1100"
 
     def test_gen_ignores_guard_env_var(self, tmp_path):
-        # only subcommands with --max-eval-vars read the variable;
-        # gen and normalize never evaluate, so they have no guard
+        # no subcommand reads the variable; gen and normalize never
+        # evaluate, so they have no guard
         out = tmp_path / "hs.pathsum"
         bad = {"PATHSUM_MAX_EVAL_VARS": "lots"}
         r = run("hidden-shift-gen", "--n", "4", "--shift", "0110",
@@ -259,9 +249,10 @@ class TestHiddenShift:
         assert nf.returncode == r.returncode == 0 and r.stdout == nf.stdout
         r = run("normalize", "--circuit", str(out), "--max-eval-vars", "1")
         assert r.returncode == 2 and "--max-eval-vars" in r.stderr
-        r2 = run("hidden-shift-solve", "--circuit", str(out), env_extra=bad)
-        assert r2.returncode == 2
-        assert "PATHSUM_MAX_EVAL_VARS" in r2.stderr
+        solved = run("hidden-shift-solve", "--circuit", str(out))
+        r = run("hidden-shift-solve", "--circuit", str(out), env_extra=bad)
+        assert solved.returncode == r.returncode == 0
+        assert r.stdout == solved.stdout == "shift: 0110\nrewrite steps: 12\n"
 
     def test_shift_width_mismatch_exits_2(self, tmp_path):
         r = run("hidden-shift-gen", "--n", "4", "--shift", "110",
@@ -413,11 +404,12 @@ class TestCheckConfluence:
         data = json.loads(r.stdout)
         assert data["passes"] == 30 and data["failures"] == 0
 
-    def test_large_cap_warns_and_falls_back(self):
-        r = run("check-confluence", "--trials", "5", "--max-vars", "12",
+    def test_cap_above_eight_exits_2(self):
+        # 8 is the largest cap; a larger one is refused, not clamped
+        r = run("check-confluence", "--trials", "5", "--max-vars", "9",
                 "--seed", "3")
-        assert r.returncode == 0
-        assert "--max-vars 12 > 8: the simple-equivalence cap stays 8" in r.stderr
+        assert r.returncode == 2 and r.stdout == ""
+        assert "--max-vars" in r.stderr and "must be at most 8" in r.stderr
 
     def test_evaluation_fallback_passes(self):
         # at cap 0 every normal form with a variable is compared by
@@ -441,14 +433,15 @@ class TestCheckConfluence:
         assert "evaluation guard" in r.stderr and "Traceback" not in r.stderr
 
     def test_guard_env_var_and_help(self):
+        # only --max-eval-vars sets the guard: the environment variable is
+        # neither read nor named
         r = run("check-confluence", "--trials", "20", "--max-vars", "1",
-                "--seed", "1", env_extra={"PATHSUM_MAX_EVAL_VARS": "2"})
-        assert r.returncode == 3
-        r = run("check-confluence", "--trials", "1",
+                "--max-eval-vars", "2", "--seed", "1",
                 env_extra={"PATHSUM_MAX_EVAL_VARS": "lots"})
-        assert r.returncode == 2 and "PATHSUM_MAX_EVAL_VARS" in r.stderr
-        r = run("check-confluence", "--help")
-        assert "dense-evaluation guard" in r.stdout
+        assert r.returncode == 3 and "evaluation guard" in r.stderr
+        text = " ".join(run("check-confluence", "--help").stdout.split())
+        assert "dense-evaluation guard (default: 24)" in text
+        assert "PATHSUM" not in text
 
     def test_help_states_fuzz_size_and_cap(self):
         # the fuzz sums come from the generator's defaults; --max-vars

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pathsum
 from pathsum.boolpoly import BoolPoly
+from pathsum.circuit import Circuit, Gate
 from pathsum.exact import Amplitude
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,15 +22,17 @@ PUBLIC = [
     "ket", "marginal_one", "measure_sim", "normalize", "parse",
     "projector_one", "random_circuit", "recover_shift", "reduce",
     "seeded_random", "serialize", "simply_equivalent", "statevector_oracle",
-    "strong_sim", "tensor", "to_dict", "to_json", "trace_lines", "zero_op",
+    "strong_sim", "tensor", "to_dict", "to_json", "zero_op",
 ]
 
 #: names deleted from the package or moved to tests/support.py, by the
 #: module or class that held them
 GONE = {"circuit": "Volume volume random_hidden_shift_spec", "sim": "Probability",
         "sums": "apply_simple_transform gate_sem Matrix", "exact": "Scalar",
-        "fuzz": "random_path_sum _random_poly", "boolpoly": "_assigned_mask"}
-GONE_METHODS = {BoolPoly: "of eval_at eval_mask vars", Amplitude: "from_count"}
+        "fuzz": "random_path_sum _random_poly", "boolpoly": "_assigned_mask",
+        "rewrite": "trace_lines", "cli": "ENV_MAX_EVAL_VARS _default_max_eval_vars"}
+GONE_METHODS = {BoolPoly: "of eval_at eval_mask vars", Amplitude: "from_count",
+                Gate: "controls", Circuit: "__len__"}
 
 
 def test_public_surface_is_pinned():

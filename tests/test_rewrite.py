@@ -21,8 +21,7 @@ from pathsum.fuzz import random_path_sum_from_circuit
 from pathsum.rewrite import (AFFINE_TERM_GROWTH, DETERMINISTIC_FIRST,
                              RewriteStep, Rule, StaleStepError, Strategy,
                              VarCapError, apply, find_rewrites, normalize,
-                             reduce, seeded_random, simply_equivalent,
-                             trace_lines)
+                             reduce, seeded_random, simply_equivalent)
 from pathsum.sums import (EvalGuardError, PathSum, compose, evaluate,
                           identity, interpret, ket, tensor, to_json, zero_op)
 from support import (apply_simple_transform, gate_sem, path_sums, poly_of,
@@ -150,7 +149,7 @@ def assert_random_matches_reference(a: PathSum, seed: int) -> list[RewriteStep]:
     equal traces and equal normal forms mean the trace replays to ``nf``.
     The ``Trace`` is read every way a caller reads it: length, iteration,
     indexing, slicing, comparison with the list and with another
-    ``Trace``, and ``trace_lines``.  Its steps must be built once, on the
+    ``Trace``, and each step's ``line``.  Its steps must be built once, on the
     first read after ``len``, each through the validating
     ``RewriteStep.__post_init__``.
     """
@@ -169,7 +168,7 @@ def assert_random_matches_reference(a: PathSum, seed: int) -> list[RewriteStep]:
         assert [trace[i] for i in range(-len(trace), len(trace))] == ref_trace * 2
         assert trace[1:-1] == ref_trace[1:-1] and trace[::-2] == ref_trace[::-2]
         assert trace == ref_trace and ref_trace == trace
-        assert trace_lines(trace) == trace_lines(ref_trace), (a, seed)
+        assert [s.line() for s in trace] == [s.line() for s in ref_trace], (a, seed)
     assert validated == ref_trace
     assert trace == normalize(a, seeded_random(seed))[1]
     assert to_json(nf) == to_json(ref_nf), (a, seed)
@@ -378,7 +377,8 @@ class TestNormalize:
     def test_trace_lines_format(self):
         s = PathSum(Amplitude(1, -2), 2, x0 * x1, (x1,), ())
         _, trace = normalize(s)
-        assert trace_lines(trace) == ["HH pivot=0 target=1 Q=0", "ELIM x=0"]
+        assert [step.line() for step in trace] == ["HH pivot=0 target=1 Q=0",
+                                                   "ELIM x=0"]
 
 
 def with_affine_pivot(a: PathSum, targets, constant: int) -> PathSum:
