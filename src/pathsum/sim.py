@@ -5,9 +5,10 @@ sum [circuit]|in> has one variable per Hadamard and no input wires.
 Amplitude queries close it with <out| into the 0 -> 0 path sum
 <out| [circuit] |in>, rewrite that to a normal form, shrink it by affine
 elimination (``reduce``) and evaluate what is left densely.  Measurement
-projects the normalized state in place and closes it with its own
-adjoint.  A guard refuses evaluation when the residual keeps too many
-variables, since dense evaluation is the only exponential step.
+closes the normalized state around a projector in one sandwich whose
+two copies share each wire that is a bare variable.  A guard refuses
+evaluation when the residual keeps too many variables, since dense
+evaluation is the only exponential step.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .boolpoly import BoolPoly
 from .circuit import Circuit
 from .exact import Amplitude
 from .rewrite import DETERMINISTIC_FIRST, normalize, reduce
-from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, adjoint, as_bits,
-                   bra, compose, evaluate, interpret)
+from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, as_bits, bra,
+                   compose, evaluate, interpret)
 
 
 class NonDeterministicOutcomeError(RuntimeError):
@@ -52,8 +53,8 @@ class ShiftResult:
 def projector_one(n: int, qubit: int) -> PathSum:
     """|1><1| on one wire, identity on the other n - 1 (one variable each).
 
-    The drivers project states in place (``_project_one``); this operator
-    is the reference that construction is tested against.
+    The drivers build the projector into the sandwich (``_sandwich_one``);
+    this operator is the reference that construction is tested against.
     """
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} wires")
@@ -62,17 +63,62 @@ def projector_one(n: int, qubit: int) -> PathSum:
     return PathSum(Amplitude(1), n - 1, BoolPoly.zero(), tuple(wires), tuple(wires))
 
 
-def _project_one(g: PathSum, qubit: int) -> PathSum:
-    """P1 on one output of g, in place: one mediator y (``_mediate``), with
-    phase term y*(O_qubit + 1) and scalar 2^-1, forces O_qubit = 1, the new
-    constant output.  Equal in value to compose(projector_one(n, qubit), g) with 1
-    variable added instead of 2n - 1."""
-    phase = set(g.phase.monomials)
-    _mediate(phase, g.num_vars, (g.outputs[qubit].monomials,), ({0},), 0)
-    outputs = list(g.outputs)
-    outputs[qubit] = BoolPoly.one()
-    return PathSum(g.scalar * Amplitude(1, -2), g.num_vars + 1,
-                   BoolPoly(frozenset(phase)), tuple(outputs), g.inputs)
+def _sandwich_one(gn: PathSum, qubit: int) -> PathSum:
+    """The closed sum <gn|P1|gn>, P1 = ``projector_one`` on one wire.
+
+    Two copies of the state meet wire by wire.  A wire whose output is
+    x_v or x_v + 1, v not taken by an earlier such wire, shares x_v
+    between the copies; a constant wire needs nothing; each of the m
+    other wires gets one mediator (``_mediate``).  One more mediator,
+    with phase term y*(O_qubit + 1), forces the wire to 1.  Copy a's
+    unshared variables come first, then copy b (all of gn's k, shifted
+    above them, the s shared ones included), then the mediators and y:
+    2k - s + m + 1 variables and scalar gn.scalar^2 * 2^-(m+1).  The XOR
+    of the two phases cancels each term in shared variables only.
+
+    The numbering is the order in which the variables of the composed
+    sandwich compose(adjoint(P gn), P gn) survive ``normalize``; with it
+    ``reduce`` leaves residuals of the same size on the benchmark's
+    queries, where numbering copy a first left 29 variables instead of 13
+    on one of them.
+    """
+    k = gn.num_vars
+    shared = 0
+    mediated = []
+    for o in gn.outputs:
+        v = o.vars_mask
+        if v & (v - 1) or v & shared:  # not one variable, or one taken
+            mediated.append(o.monomials)
+        else:  # a constant adds nothing to shared
+            shared |= v
+    shift = k - shared.bit_count()
+    rename, low = {}, 1  # copy a: each variable's bit to its new bit
+    for v in range(k):
+        bit = 1 << v
+        if bit & shared:
+            rename[bit] = bit << shift
+        else:
+            rename[bit], low = low, low << 1
+
+    def copy_a(masks):
+        out = set()
+        for mm in masks:
+            new = 0
+            while mm:
+                bit = mm & -mm
+                new |= rename[bit]
+                mm ^= bit
+            out.add(new)
+        return out
+
+    phase = copy_a(gn.phase.monomials)
+    phase ^= {mm << shift for mm in gn.phase.monomials}
+    med = shift + k
+    m = len(mediated)
+    _mediate(phase, med, mediated, [copy_a(o) for o in mediated], shift)
+    _mediate(phase, med + m, (gn.outputs[qubit].monomials,), ({0},), shift)
+    return PathSum(gn.scalar * gn.scalar * Amplitude(1, -2 * (m + 1)),
+                   med + m + 1, BoolPoly(frozenset(phase)), (), ())
 
 
 def _closed_value(f: PathSum, max_eval_vars: int) -> tuple[Amplitude, int]:
@@ -94,17 +140,16 @@ def _probability_one(gn: PathSum, qubit: int,
 
     A state with no variables left is scalar*|b>, so the probability is
     the amplitude b_qubit * scalar^2: 0 or a power of 2, as the scalar is
-    0 or a power of sqrt(2).  Otherwise gn is projected in place to P gn
-    and the sandwich <P gn|P gn> = <gn|P|gn> gets its value from
-    ``_closed_value``, under the guard: 2k + n + 2 variables for k in gn.
+    0 or a power of sqrt(2).  Otherwise the sandwich <gn|P|gn>
+    (``_sandwich_one``) gets its value from ``_closed_value``, under the
+    guard: at most 2k + n + 1 variables for k in gn, fewer for each wire
+    that is a bare variable or a constant.
     """
     if gn.num_vars == 0:  # each output is the constant 0 or 1
         amp = gn.scalar * gn.scalar if gn.outputs[qubit].monomials else _ZERO
         steps = 0
     else:
-        pg = _project_one(gn, qubit)
-        f = compose(adjoint(pg), pg)
-        amp, steps = _closed_value(f, max_eval_vars)
+        amp, steps = _closed_value(_sandwich_one(gn, qubit), max_eval_vars)
     if amp.num < 0 or _ONE < amp:
         raise SimulationConsistencyError(
             f"probability {amp.render()} outside [0, 1]")

@@ -161,7 +161,7 @@ def compose(a: PathSum, b: PathSum) -> PathSum:
 def _mediate(phase: set[int], med: int, outputs, inputs, shift: int) -> None:
     """Add y_(med+i) * (O_i << shift + I_i) to the phase for each wire i,
     given as monomial masks: the mediator term, which forces O_i = I_i,
-    of ``compose``, of the fuzz fold and of the in-place projector."""
+    of ``compose``, of the fuzz fold and of the measurement sandwich."""
     ybit = 1 << med
     for o, i in zip(outputs, inputs):
         term = {mm << shift for mm in o}

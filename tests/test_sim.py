@@ -8,19 +8,20 @@ import pytest
 
 from pathsum.circuit import (Circuit, Gate, HiddenShiftSpec,
                              hidden_shift_circuit, random_circuit)
-from pathsum.boolpoly import BoolPoly
+from pathsum.boolpoly import BoolPoly, mask_bits
 from pathsum.exact import Amplitude
 from pathsum.oracle import marginal_one, statevector_oracle
-from pathsum.rewrite import find_rewrites, normalize, reduce
+from pathsum.rewrite import find_rewrites, normalize, reduce, simply_equivalent
 from pathsum.sim import (NonDeterministicOutcomeError, _closed_value,
-                         _project_one, measure_sim, projector_one,
+                         _sandwich_one, measure_sim, projector_one,
                          recover_shift, strong_sim)
 from pathsum.sums import (EvalGuardError, PathSum, adjoint, compose, evaluate,
                           identity, interpret, ket, tensor)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from perfbench.workloads import POOL12, POOL16  # noqa: E402
+from perfbench.workloads import (EVAL_PIN, GUARD_PIN, POOL12,  # noqa: E402
+                                 POOL16)
 from support import bits_to_index, random_hidden_shift_spec  # noqa: E402
 
 
@@ -144,41 +145,72 @@ class TestMeasureSim:
                 assert projector_one(n, q) == built, (n, q)
 
 
-class TestProjectInPlace:
-    """The drivers' sandwich <P g|P g> against <g| projector_one |g>."""
+def reference_sandwich(gn, qubit):
+    """<gn| projector_one |gn> by composition: 2k + 3n - 1 variables."""
+    n = len(gn.outputs)
+    ref = compose(adjoint(gn), compose(projector_one(n, qubit), gn))
+    assert ref.num_vars == 2 * gn.num_vars + 3 * n - 1
+    return ref
 
-    @staticmethod
-    def sandwiches(gn, qubit):
-        n, k = len(gn.outputs), gn.num_vars
-        pg = _project_one(gn, qubit)
-        new = compose(adjoint(pg), pg)
-        ref = compose(adjoint(gn), compose(projector_one(n, qubit), gn))
-        assert (new.num_vars, ref.num_vars) == (2 * k + n + 2, 2 * k + 3 * n - 1)
-        return new, ref
+
+@pytest.fixture(scope="module")
+def pool_states():
+    """(n, circuit seed, input, normalized state) of each pool query."""
+    pools = [(12, 200, q) for q in POOL12] + [(16, 300, q) for q in POOL16]
+    states = []
+    for n, depth, (cseed, bits, _) in pools:
+        c = random_circuit(n, depth, seed=cseed)
+        states.append((n, cseed, bits, normalize(interpret(c, bits))[0]))
+    return states
+
+
+class TestSandwichOne:
+    """The drivers' sandwich against <g| projector_one |g>."""
 
     def test_shape(self):
-        c = random_circuit(4, 30, seed=3)
+        # outputs x0, x0 + 1, x1*x2, 1, x1 + 1: x0 and x1 are shared,
+        # wires 1 and 2 mediated, wire 3 constant
+        x = [BoolPoly.var(i) for i in range(3)]
+        one = BoolPoly.one()
+        g = PathSum(Amplitude(1, -3), 3, x[0] * x[1] + x[2],
+                    (x[0], x[0] + one, x[1] * x[2], one, x[1] + one), ())
+        for q in range(5):
+            f = _sandwich_one(g, q)
+            # 2k - s + m + 1 and scalar^2 * 2^-(m+1), for s = m = 2
+            assert f.num_vars == 7 and f.scalar == Amplitude(1, -12)
+            assert f.signature == (0, 0)
+            assert evaluate(f) == evaluate(reference_sandwich(g, q)), q
+        # copy a's x2 is 0, copy b is 1..3, mediators 4 and 5, projector 6:
+        # x0*x1 cancels between the copies, wire 1's mediator term vanishes
+        assert sorted(_sandwich_one(g, 2).phase.to_lists()) == sorted(
+            [[0], [3], [6], [0, 2, 5], [2, 3, 5], [2, 3, 6]])
+        # a circuit state, its shared and mediated wires counted here:
+        # outputs x2 + 1, x0, x2, x1
+        c = random_circuit(4, 30, seed=29)
         gn, _ = normalize(interpret(c, "0110"))
+        shared, m = set(), 0
+        for o in gn.outputs:
+            vs = mask_bits(o.vars_mask)
+            if len(vs) == 1 and vs[0] not in shared:
+                shared.add(vs[0])
+            elif vs:
+                m += 1
+        assert (gn.num_vars, len(shared), m) == (3, 3, 1)
         for q in range(4):
-            pg = _project_one(gn, q)
-            assert pg.num_vars == gn.num_vars + 1
-            assert pg.scalar == gn.scalar * Amplitude(1, -2)
-            assert pg.outputs[q] == BoolPoly.one()
-            assert pg.outputs[:q] + pg.outputs[q + 1:] == \
-                gn.outputs[:q] + gn.outputs[q + 1:]
-            assert evaluate(pg) == evaluate(
-                compose(projector_one(4, q), gn)), q
+            f = _sandwich_one(gn, q)
+            assert f.num_vars == 2 * gn.num_vars - len(shared) + m + 1
+            assert f.scalar == (gn.scalar * gn.scalar
+                                * Amplitude(1, -2 * (m + 1)))
+            assert evaluate(f) == evaluate(reference_sandwich(gn, q)), q
 
-    def test_same_value_as_projector_sandwich_on_benchmark_pools(self):
+    def test_same_value_as_projector_sandwich_on_benchmark_pools(
+            self, pool_states):
         # every qubit of the random-measure workload's pool states
-        pools = [(12, 200, q) for q in POOL12] + [(16, 300, q) for q in POOL16]
         compared = refused = 0
-        for n, depth, (cseed, bits, _) in pools:
-            c = random_circuit(n, depth, seed=cseed)
-            gn, _ = normalize(interpret(c, bits))
+        for n, cseed, bits, gn in pool_states:
             for q in range(n):
                 values = []
-                for f in self.sandwiches(gn, q):
+                for f in (_sandwich_one(gn, q), reference_sandwich(gn, q)):
                     try:
                         values.append(_closed_value(f, 22)[0])
                     except EvalGuardError:  # 4 residuals of 25 variables
@@ -203,9 +235,45 @@ class TestProjectInPlace:
             gn, _ = normalize(interpret(c, bits))
             vec = statevector_oracle(c, bits)
             for q in range(n):
-                new, ref = self.sandwiches(gn, q)
-                want = marginal_one(vec, n, q)
-                assert evaluate(new)[0][0] == evaluate(ref)[0][0] == want, (i, q)
+                new = evaluate(_sandwich_one(gn, q))[0][0]
+                ref = evaluate(reference_sandwich(gn, q))[0][0]
+                assert new == ref == marginal_one(vec, n, q), (i, q)
+
+    def test_normal_forms_agree_with_the_reference(self, pool_states):
+        # confluence across the two constructions: the normal forms have
+        # as many variables, and small ones are simply equivalent
+        rng = random.Random(98)
+        states = [gn for *_, gn in pool_states]
+        for i in range(300):
+            n = rng.randint(1, 10)
+            c = random_circuit(n, rng.randint(1, 4 * n),
+                               max_controls=min(2, n - 1), seed=i + 5000)
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            states.append(normalize(interpret(c, bits))[0])
+        cases = small = 0
+        for gn in states:
+            for q in range(len(gn.outputs)):
+                new = normalize(_sandwich_one(gn, q))[0]
+                ref = normalize(reference_sandwich(gn, q))[0]
+                assert new.num_vars == ref.num_vars, (gn, q)
+                if new.num_vars <= 8:
+                    assert simply_equivalent(new, ref), (gn, q)
+                    small += 1
+                cases += 1
+        assert cases >= 2100 and small >= 2000, (cases, small)
+
+    def test_benchmark_queries_keep_their_residual(self):
+        # reduce leaves as many variables as on the reference, on every
+        # query the random-measure workload can draw
+        queries = ([(12, 200, *q) for q in POOL12]
+                   + [(16, 300, *q) for q in POOL16] + [GUARD_PIN, EVAL_PIN])
+        assert len(queries) == 34
+        for n, depth, cseed, bits, q in queries:
+            c = random_circuit(n, depth, seed=cseed)
+            gn, _ = normalize(interpret(c, bits))
+            new = reduce(normalize(_sandwich_one(gn, q))[0])
+            ref = reduce(normalize(reference_sandwich(gn, q))[0])
+            assert new.num_vars == ref.num_vars, (n, cseed, bits, q)
 
 
 class TestRecoverShift:
