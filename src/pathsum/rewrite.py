@@ -42,9 +42,10 @@ drivers read no more than that.
 
 ``reduce`` runs the same deterministic loop with one more rank after
 HH, for dense evaluation only: a wire-free pivot whose cofactor is
-affine in three or more variables.  That step is sound but is not a
-rewrite (the confluent system keeps HH's limit), so ``find_rewrites``,
-``apply`` and the traces never see it.
+affine in three or more variables, which ``_rule_at`` names on
+request.  That step is sound but is not a rewrite (the confluent system
+keeps HH's limit), so ``find_rewrites``, ``apply`` and the traces never
+see it.  Ranks come in order, so one pass takes a sum to its residual.
 """
 
 from __future__ import annotations
@@ -187,15 +188,17 @@ _ELIM_AT = (0, (), ())
 _Z_AT = (1, (), ())
 
 
-def _rule_at(x: int, occ, on_wire):
-    """The one rule variable x admits, as (rank, HH targets, cofactor masks).
+def _rule_at(x: int, occ, on_wire, affine=False):
+    """The one rule variable x admits, as (rank, targets, cofactor masks).
 
     ``occ`` holds the phase monomials that mention x and ``on_wire`` is
     true when x occurs in an output or input polynomial.  The rank indexes
     ``_RULES``.  For HH the targets are the bare cofactor variables,
     ascending, and the masks are the cofactor's monomials: the cofactor
     must be a sum of at most two bare variables and possibly the constant
-    1.  ELIM and Z carry no targets.  Returns None when no rule applies.
+    1.  ELIM and Z carry no targets.  With ``affine`` (``reduce`` only),
+    three or more bare variables give the affine step, rank 3, its one
+    target the lowest.  Returns None when no rule applies.
     """
     if not occ:
         return None if on_wire else _ELIM_AT
@@ -213,8 +216,9 @@ def _rule_at(x: int, occ, on_wire):
         lmasks.append(r)
         if r:
             bare.append(r.bit_length() - 1)
-    if not bare or len(bare) > 2:
-        return None
+    # not Z, so some cofactor monomial is a bare variable
+    if len(bare) > 2:
+        return (3, [min(bare)], lmasks) if affine else None
     bare.sort()
     return 2, bare, lmasks
 
@@ -308,10 +312,11 @@ def normalize(a: PathSum, strategy: Strategy = DETERMINISTIC_FIRST
 
 
 def reduce(a: PathSum) -> PathSum:
-    """Shrink a normal form for dense evaluation by affine elimination.
+    """Normalize a and shrink it for dense evaluation by affine elimination.
 
-    The deterministic loop of ``normalize`` with one more rank after HH:
-    a wire-free pivot x whose cofactor is y + L, L affine, with at least
+    One pass equal to ``reduce(normalize(a)[0])``, for any sum a: the
+    deterministic loop of ``normalize`` with one more rank after HH, a
+    wire-free pivot x whose cofactor is y + L, L affine, with at least
     three bare variables in all.  Summing x gives 2*[y = L], so x is
     dropped and the lowest bare variable y is substituted by L, exactly
     as HH does.  It is sound and keeps the degree, but it is not a
@@ -332,22 +337,6 @@ def reduce(a: PathSum) -> PathSum:
 AFFINE_TERM_GROWTH = 4
 
 
-def _affine_rule_at(x: int, occ, on_wire):
-    """``_rule_at``, or else the affine step (rank 3) at a wire-free x.
-
-    The step's one target is the lowest bare cofactor variable.
-    """
-    rule = _rule_at(x, occ, on_wire)
-    if rule is not None or on_wire:
-        return rule
-    xbit = 1 << x
-    lmasks = [m ^ xbit for m in occ]
-    if any(r & (r - 1) for r in lmasks):  # a cofactor monomial of degree 2+
-        return None
-    # not ELIM, Z or HH, so at least three of the masks are bare variables
-    return 3, [min(filter(None, lmasks)).bit_length() - 1], lmasks
-
-
 def _run(a: PathSum, rng: Optional[random.Random], affine: bool
          ) -> tuple[PathSum, list[tuple]]:
     """The indexed loop behind ``normalize`` and ``reduce``.
@@ -355,8 +344,9 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
     Step i is drawn from ``rng``, or is 0 without one, and read off the
     sorted list of the applicable steps' keys.  Each edit of that list is
     a memmove, after a bisection for a refreshed rule, both in C: O(k)
-    pointers moved and O(log k) comparisons.  With ``affine`` the rules
-    come from ``_affine_rule_at``; its steps are not traced.
+    pointers moved and O(log k) comparisons.  With ``affine``,
+    ``_rule_at`` also offers the affine step, which i = 0 takes only
+    after every rewrite; the raw steps returned stop at the first one.
     The loop keeps the input's variable numbering throughout: the raw
     steps it returns for ``Trace`` name input variables, and the result
     is renumbered once, at the end, onto the variables left.
@@ -364,7 +354,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
     k0 = a.num_vars
     if k0 == 0:
         return a, []
-    rule_at = _affine_rule_at if affine else _rule_at
+    rule_at = _rule_at
     polys = [set(p.monomials) for p in (a.phase, *a.outputs, *a.inputs)]
     phase = polys[0]
     n_out = len(a.outputs)
@@ -391,7 +381,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
     rules = [None] * k0
     steps = []
     for v in range(k0):
-        rule = rules[v] = rule_at(v, pocc[v], oipos[v])
+        rule = rules[v] = rule_at(v, pocc[v], oipos[v], affine)
         if rule is not None:
             key = (rule[0] * k0 + v) * 2
             steps.append(key)
@@ -401,6 +391,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
     alive = bytearray(b"\1") * k0
     elims = 0
     cap = 0  # phase size past which no affine step is taken
+    rewrites = None  # the trace's length at the first affine step
     trace: list[tuple] = []  # the raw steps, as Trace holds them
 
     while steps:
@@ -413,7 +404,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
         rule = rules[x]
         if rank == 1:
             trace.append((1, x))
-            return zero_op(n_in, n_out), trace
+            return zero_op(n_in, n_out), trace[:rewrites]
         if rank == 0:
             trace.append((0, x))
             elims += 1
@@ -424,6 +415,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
                 trace.append((2, x, y, rule[2]))
             elif not cap:
                 cap = AFFINE_TERM_GROWTH * len(phase)
+                rewrites = len(trace)
             elif len(phase) > cap:
                 break  # only affine steps are left: i = 0 takes ranks in order
         # the pivot goes: its keys, which start at i - t, leave the list; it
@@ -473,7 +465,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
             low = bits & -bits
             bits ^= low
             v = low.bit_length() - 1
-            rule = rule_at(v, pocc[v], oipos[v])
+            rule = rule_at(v, pocc[v], oipos[v], affine)
             old = rules[v]
             if rule is old:
                 continue
@@ -506,7 +498,7 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
         out.append(BoolPoly(frozenset(masks)))
     result = PathSum(a.scalar * Amplitude(1, 2 * elims), len(kept), out[0],
                      tuple(out[1:1 + n_out]), tuple(out[1 + n_out:]))
-    return result, trace
+    return result, trace[:rewrites]
 
 
 # ---------------------------------------------------------------------------

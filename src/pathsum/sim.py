@@ -3,12 +3,12 @@
 Every driver interprets the circuit on its basis input, so the state
 sum [circuit]|in> has one variable per Hadamard and no input wires.
 Amplitude queries close it with <out| into the 0 -> 0 path sum
-<out| [circuit] |in>, rewrite that to a normal form, shrink it by affine
-elimination (``reduce``) and evaluate what is left densely.  Measurement
-closes the normalized state around a projector in one sandwich whose
-two copies share each wire that is a bare variable.  A guard refuses
-evaluation when the residual keeps too many variables, since dense
-evaluation is the only exponential step.
+<out| [circuit] |in>.  Measurement closes the normalized state around
+a projector in one sandwich whose two copies share each wire that is a
+bare variable.  One pass takes a closed sum to its normal form and
+shrinks that by affine elimination (``reduce``); what is left is
+evaluated densely.  A guard refuses evaluation when the residual keeps
+too many variables, since dense evaluation is the only exponential step.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .boolpoly import BoolPoly
 from .circuit import Circuit
 from .exact import Amplitude
-from .rewrite import DETERMINISTIC_FIRST, normalize, reduce
+from .rewrite import DETERMINISTIC_FIRST, _run, normalize
 from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, as_bits, bra,
                    compose, evaluate, interpret)
 
@@ -124,11 +124,13 @@ def _sandwich_one(gn: PathSum, qubit: int) -> PathSum:
 def _closed_value(f: PathSum, max_eval_vars: int) -> tuple[Amplitude, int]:
     """The value of a closed (0, 0) sum, and the rewrite steps taken.
 
-    ``normalize`` rewrites f, ``reduce`` shrinks the normal form, and
-    dense evaluation sums the residual; the guard bounds that residual.
+    One pass of ``reduce``'s loop takes f to its normal form and on to
+    the residual, which dense evaluation sums under the guard.  The steps
+    are those ``normalize`` would take: the rewrites before the first
+    affine step.
     """
-    nf, trace = normalize(f, DETERMINISTIC_FIRST)
-    return evaluate(reduce(nf), max_eval_vars)[0][0], len(trace)
+    residual, rewrites = _run(f, None, True)
+    return evaluate(residual, max_eval_vars)[0][0], len(rewrites)
 
 
 _ZERO, _ONE = Amplitude(0), Amplitude(1)

@@ -2,8 +2,9 @@
 
 None of this is in the package: dense matrix algebra for the
 homomorphism laws, each gate's defining sum, variable renamings, point
-evaluation of polynomials, the confluence fuzz sum as a compose fold and
-as one interpretation, and random sums, circuits and instances.
+evaluation of polynomials, the affine step's detector as a second scan,
+the confluence fuzz sum as a compose fold and as one interpretation,
+and random sums, circuits and instances.
 """
 
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import Circuit, Gate, HiddenShiftSpec, random_circuit
 from pathsum.exact import Amplitude
+from pathsum.rewrite import _rule_at
 from pathsum.sums import PathSum, bra, compose, interpret, ket
 
 
@@ -89,6 +91,24 @@ def apply_simple_transform(a, phi):
     return PathSum(a.scalar, k, a.phase.apply_simple_map(phi),
                    tuple(p.apply_simple_map(phi) for p in a.outputs),
                    tuple(p.apply_simple_map(phi) for p in a.inputs))
+
+
+def affine_rule_at(x, occ, on_wire):
+    """``_rule_at`` with the affine step, by a second scan of x's monomials.
+
+    The rule without it, or else the affine step (rank 3) at a wire-free
+    x whose cofactor is affine: its one target is the lowest bare
+    cofactor variable.
+    """
+    rule = _rule_at(x, occ, on_wire)
+    if rule is not None or on_wire:
+        return rule
+    xbit = 1 << x
+    lmasks = [m ^ xbit for m in occ]
+    if any(r & (r - 1) for r in lmasks):  # a cofactor monomial of degree 2+
+        return None
+    # not ELIM, Z or HH, so at least three of the masks are bare variables
+    return 3, [min(filter(None, lmasks)).bit_length() - 1], lmasks
 
 
 def _random_poly(rng, num_vars, terms, max_degree=3):
@@ -199,6 +219,53 @@ def random_hidden_shift_spec(n, rng):
         rng.shuffle(perm)
         pi = tuple(perm)
     return HiddenShiftSpec(n=n, g_monomials=frozenset(monos), shift=shift, pi=pi)
+
+
+def nonlinear_shift_circuit(n, shift, network, g_monomials):
+    """A Maiorana-McFarland hidden-shift instance whose pi is a network.
+
+    f(u, v) = u.pi(v) + g(v) on halves u and v, pi the in-place network
+    of (controls, target) pairs on a half register, each a Toffoli or a
+    CNOT written as H.Z.H; the dual is pi^-1(u).v + g(pi^-1(u)).  The
+    circuit maps |0...0> to |shift>; with a nonlinear pi its state sum
+    keeps variables after normalization.
+    """
+    half = n // 2
+    u, v = range(half), range(half, n)
+    gates = []
+
+    def hadamards():
+        gates.extend(Gate("h", (q,)) for q in range(n))
+
+    def flips():
+        gates.extend(Gate("x", (q,)) for q in range(n) if shift[q])
+
+    def pi(reg, inverse):
+        for controls, t in reversed(network) if inverse else network:
+            gates.append(Gate("h", (reg[t],)))
+            gates.append(Gate("z", tuple(sorted(reg[c] for c in (*controls, t)))))
+            gates.append(Gate("h", (reg[t],)))
+
+    def g(reg):
+        gates.extend(Gate("z", tuple(reg[a] for a in m)) for m in g_monomials)
+
+    def couple():
+        gates.extend(Gate("z", (u[i], v[i])) for i in range(half))
+
+    hadamards()
+    flips()
+    g(v)
+    pi(v, False)
+    couple()
+    pi(v, True)
+    flips()
+    hadamards()
+    pi(u, True)
+    couple()
+    g(u)
+    pi(u, False)
+    hadamards()
+    return Circuit(n, tuple(gates))
 
 
 @st.composite

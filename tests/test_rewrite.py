@@ -8,6 +8,7 @@ bijection with negations.
 
 import random
 from collections import Counter
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -20,12 +21,13 @@ from pathsum.exact import Amplitude
 from pathsum.fuzz import random_path_sum_from_circuit
 from pathsum.rewrite import (AFFINE_TERM_GROWTH, DETERMINISTIC_FIRST,
                              RewriteStep, Rule, StaleStepError, Strategy,
-                             VarCapError, apply, find_rewrites, normalize,
-                             reduce, seeded_random, simply_equivalent)
+                             VarCapError, _rule_at, apply, find_rewrites,
+                             normalize, reduce, seeded_random,
+                             simply_equivalent)
 from pathsum.sums import (EvalGuardError, PathSum, compose, evaluate,
                           identity, interpret, ket, tensor, to_json, zero_op)
-from support import (apply_simple_transform, gate_sem, path_sums, poly_of,
-                     random_path_sum)
+from support import (affine_rule_at, apply_simple_transform, gate_sem,
+                     path_sums, poly_of, random_path_sum)
 
 x0, x1, x2, x3 = (BoolPoly.var(i) for i in range(4))
 one = BoolPoly.one()
@@ -401,6 +403,36 @@ def sums_with_affine_pivot(draw):
     return with_affine_pivot(a, targets, draw(st.integers(0, 1)))
 
 
+def reduce_corpus(seed: int, count: int):
+    """Fuzz and random sums; the plain fuzz sums rarely admit an affine
+    step, so every other one gets a wire-free pivot over three to five of
+    its variables."""
+    rng = random.Random(seed)
+    for i in range(count):
+        a = (random_path_sum(rng, max_vars=8) if i % 2
+             else random_path_sum_from_circuit(rng))
+        if i % 4 < 2 and a.num_vars >= 3:
+            a = with_affine_pivot(
+                a, rng.sample(range(a.num_vars), rng.randint(3, min(5, a.num_vars))),
+                rng.randrange(2))
+        yield a
+
+
+def assert_detector_matches_reference(a: PathSum) -> int:
+    """``_rule_at`` with the affine step names the reference's rule at
+    every variable of a; returns how many of them admit the affine step."""
+    wires = 0
+    for p in (*a.outputs, *a.inputs):
+        wires |= p.vars_mask
+    affine = 0
+    for x in range(a.num_vars):
+        occ = {m for m in a.phase.monomials if m >> x & 1}
+        rule = _rule_at(x, occ, wires >> x & 1, True)
+        assert rule == affine_rule_at(x, occ, wires >> x & 1), (a, x)
+        affine += rule is not None and rule[0] == 3
+    return affine
+
+
 def assert_reduce_keeps_value(a: PathSum) -> bool:
     """reduce keeps the value of a's normal form and leaves no rewrite;
     returns whether it removed a variable."""
@@ -414,18 +446,7 @@ def assert_reduce_keeps_value(a: PathSum) -> bool:
 
 class TestReduce:
     def test_keeps_value_on_fuzz_corpus(self):
-        # the plain fuzz sums rarely admit an affine step, so every other
-        # one gets a wire-free pivot over three to five of its variables
-        rng = random.Random(81)
-        shrunk = 0
-        for i in range(2400):
-            a = (random_path_sum(rng, max_vars=8) if i % 2
-                 else random_path_sum_from_circuit(rng))
-            if i % 4 < 2 and a.num_vars >= 3:
-                a = with_affine_pivot(
-                    a, rng.sample(range(a.num_vars), rng.randint(3, min(5, a.num_vars))),
-                    rng.randrange(2))
-            shrunk += assert_reduce_keeps_value(a)
+        shrunk = sum(map(assert_reduce_keeps_value, reduce_corpus(81, 2400)))
         assert shrunk > 150  # 181 seen
 
     @settings(max_examples=300, deadline=None)
@@ -436,20 +457,27 @@ class TestReduce:
     def test_equals_reduce_of_the_normal_form(self):
         # the loop is rank-major, so reduce takes every rewrite, as
         # normalize does, before any affine step: both sums renumber alike
-        rng = random.Random(83)
         shrunk = 0
-        for i in range(3000):
-            a = (random_path_sum(rng, max_vars=8) if i % 2
-                 else random_path_sum_from_circuit(rng))
-            if i % 4 < 2 and a.num_vars >= 3:
-                a = with_affine_pivot(
-                    a, rng.sample(range(a.num_vars), rng.randint(3, min(5, a.num_vars))),
-                    rng.randrange(2))
+        for a in reduce_corpus(83, 3000):
             nf, _ = normalize(a)
             r = reduce(a)
             assert to_json(r) == to_json(reduce(nf)), a
             shrunk += r.num_vars < nf.num_vars
         assert shrunk > 200  # 263 seen
+
+    def test_detector_matches_the_reference_on_the_corpora(self):
+        # every variable of both corpora's sums and of their normal forms
+        affine = 0
+        for a in chain(reduce_corpus(81, 2400), reduce_corpus(83, 3000)):
+            affine += assert_detector_matches_reference(a)
+            affine += assert_detector_matches_reference(normalize(a)[0])
+        assert affine > 7000  # 7 873 seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(sums_with_affine_pivot())
+    def test_detector_matches_the_reference_property(self, a):
+        assert_detector_matches_reference(a)
+        assert_detector_matches_reference(normalize(a)[0])
 
     def test_is_not_a_rewrite(self):
         # the criterion-8 pivot: find_rewrites and normalize leave it, and
@@ -460,6 +488,16 @@ class TestReduce:
                     (), ())
         assert find_rewrites(s) == []
         assert normalize(s) == (s, [])
+        # the detector names the affine step at x only when asked to
+        occ = {m for m in s.phase.monomials if m >> x & 1}
+        assert _rule_at(x, occ, False) is None
+        assert _rule_at(x, occ, False, True)[:2] == (3, [w])
+        # nor is any HH step at the pivot applied, whatever its target
+        for target in (w, y, z):
+            for q in (zero, one, *(BoolPoly.var(v) + c for v in (w, y, z)
+                                   if v != target for c in (zero, one))):
+                with pytest.raises(StaleStepError):
+                    apply(s, RewriteStep(Rule.HH, x, target, q))
         r = reduce(s)
         assert r.num_vars == 0 and evaluate(r) == evaluate(s)
 

@@ -15,14 +15,16 @@ from pathsum.rewrite import find_rewrites, normalize, reduce, simply_equivalent
 from pathsum.sim import (NonDeterministicOutcomeError, _closed_value,
                          _sandwich_one, measure_sim, projector_one,
                          recover_shift, strong_sim)
-from pathsum.sums import (EvalGuardError, PathSum, adjoint, compose, evaluate,
-                          identity, interpret, ket, tensor)
+from pathsum.sums import (EvalGuardError, PathSum, adjoint, as_bits, bra,
+                          compose, evaluate, identity, interpret, ket,
+                          tensor, to_json)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.workloads import (EVAL_PIN, GUARD_PIN, POOL12,  # noqa: E402
                                  POOL16)
-from support import bits_to_index, random_hidden_shift_spec  # noqa: E402
+from support import (bits_to_index, eval_mask,  # noqa: E402
+                     nonlinear_shift_circuit, random_hidden_shift_spec)
 
 
 class TestStrongSim:
@@ -276,6 +278,56 @@ class TestSandwichOne:
             assert new.num_vars == ref.num_vars, (n, cseed, bits, q)
 
 
+def assert_one_pass(f, guard):
+    """``_closed_value``'s one pass against the two passes it replaces,
+    ``evaluate(reduce(normalize(f)[0]))``: the same step count (the
+    normal form's trace), the same value or the same refusal, and the
+    same residual.  Returns whether the guard refused."""
+    nf, trace = normalize(f)
+    residual = reduce(nf)
+    assert to_json(reduce(f)) == to_json(residual)
+    try:
+        want = evaluate(residual, guard)[0][0]
+    except EvalGuardError as err:
+        with pytest.raises(EvalGuardError) as got:
+            _closed_value(f, guard)
+        assert str(got.value) == str(err)
+        return True
+    assert _closed_value(f, guard) == (want, len(trace))
+    return False
+
+
+class TestClosedValueInOnePass:
+    def test_pool_sandwiches(self, pool_states):
+        refused = sum(assert_one_pass(_sandwich_one(gn, q), 22)
+                      for n, _, _, gn in pool_states for q in range(n))
+        assert refused == 4
+
+    def test_benchmark_queries(self):
+        queries = ([(12, 200, *q) for q in POOL12]
+                   + [(16, 300, *q) for q in POOL16] + [GUARD_PIN, EVAL_PIN])
+        assert len(queries) == 34
+        for n, depth, cseed, bits, q in queries:
+            gn, _ = normalize(interpret(random_circuit(n, depth, seed=cseed), bits))
+            assert not assert_one_pass(_sandwich_one(gn, q), 20)
+
+    def test_amplitude_sums(self):
+        # <y| [c] |x>, y an output of the normal form at a random point
+        rng = random.Random(111)
+        refused = affine = 0
+        for cseed in range(100, 160):
+            n, depth = (12, 200) if cseed % 2 else (16, 300)
+            x = [rng.randrange(2) for _ in range(n)]
+            g = interpret(random_circuit(n, depth, seed=cseed), x)
+            gn, _ = normalize(g)
+            for _ in range(3):
+                point = rng.getrandbits(gn.num_vars)
+                f = compose(bra([eval_mask(o, point) for o in gn.outputs]), g)
+                refused += assert_one_pass(f, 8)
+                affine += reduce(f).num_vars < normalize(f)[0].num_vars
+        assert refused >= 10 and affine >= 12, (refused, affine)  # 14, 16
+
+
 class TestRecoverShift:
     def test_two_qubit_instance(self):
         c = hidden_shift_circuit(HiddenShiftSpec(n=2, shift=(1, 0)))
@@ -354,6 +406,23 @@ class TestRecoverShift:
             assert nf.num_vars == 0 and len(trace) == hs
             assert tuple(len(p.monomials) for p in nf.outputs) == spec.shift
             assert recover_shift(c).rewrite_steps_total == hs
+
+    def test_steps_of_states_that_keep_variables(self):
+        # a nonlinear pi leaves state variables, so each qubit's sandwich
+        # adds the rewrites normalize takes on it, and not the steps that
+        # affine elimination takes after them
+        for n, network, shift, steps in (
+                (6, [((2,), 0), ((1, 2), 0), ((0, 1), 2)], "101101", 92),
+                (8, [((2,), 1), ((2,), 3), ((1, 2), 0), ((2, 3), 1)],
+                 "10001000", 208)):
+            c = nonlinear_shift_circuit(n, as_bits(shift), network, [(0,)])
+            assert statevector_oracle(c, (0,) * n)[int(shift, 2)].is_one()
+            gn, trace = normalize(interpret(c, (0,) * n))
+            assert gn.num_vars > 0
+            res = recover_shift(c)
+            assert res.shift_string() == shift
+            assert res.rewrite_steps_total == steps == len(trace) + sum(
+                len(normalize(_sandwich_one(gn, q))[1]) for q in range(n))
 
     def test_full_reduction_of_state_sum(self):
         rng = random.Random(94)
