@@ -5,12 +5,14 @@ occurs; 0 is the constant monomial 1) and a polynomial is a frozenset of
 masks, the zero polynomial being the empty set.  Addition is symmetric
 difference and multiplication ORs masks together, so idempotence
 (x*x = x) and characteristic-2 cancellation hold by construction and
-every value is canonical.
+every value is canonical.  ``mask_renamed`` moves variables to new
+indices inside masks: the normalizer's final renumbering and the
+measurement sandwich's copy of the state both go through it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -20,6 +22,19 @@ def mask_bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def mask_renamed(masks: Iterable[int], bits: Sequence[int]) -> list[int]:
+    """The masks with each variable v replaced by a distinct bit ``bits[v]``."""
+    out = []
+    for m in masks:
+        d = 0
+        while m:
+            low = m & -m
+            d |= bits[low.bit_length() - 1]
+            m ^= low
+        out.append(d)
     return out
 
 

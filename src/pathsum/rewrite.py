@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
-from .boolpoly import BoolPoly, mask_bits
+from .boolpoly import BoolPoly, mask_bits, mask_renamed
 from .exact import Amplitude
 from .sums import PathSum, zero_op
 
@@ -349,7 +349,8 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
     after every rewrite; the raw steps returned stop at the first one.
     The loop keeps the input's variable numbering throughout: the raw
     steps it returns for ``Trace`` name input variables, and the result
-    is renumbered once, at the end, onto the variables left.
+    is renumbered once, at the end, onto the variables left, by
+    ``mask_renamed``.
     """
     k0 = a.num_vars
     if k0 == 0:
@@ -480,22 +481,11 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
                 j = bisect_left(steps, key)
                 steps[j:j] = (key, key + 1)[:len(rule[1]) or 1]
 
-    # survivor v becomes variable new[v] of the result
     kept = list(compress(range(k0), alive))
-    new = [0] * k0
+    bits = [0] * k0  # the j-th survivor becomes variable j of the result
     for j, v in enumerate(kept):
-        new[v] = j
-    out = []
-    for poly in polys:
-        masks = []
-        for m in poly:
-            d = 0
-            while m:
-                low = m & -m
-                d |= 1 << new[low.bit_length() - 1]
-                m ^= low
-            masks.append(d)
-        out.append(BoolPoly(frozenset(masks)))
+        bits[v] = 1 << j
+    out = [BoolPoly(frozenset(mask_renamed(poly, bits))) for poly in polys]
     result = PathSum(a.scalar * Amplitude(1, 2 * elims), len(kept), out[0],
                      tuple(out[1:1 + n_out]), tuple(out[1 + n_out:]))
     return result, trace[:rewrites]

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolpoly import BoolPoly
+from .boolpoly import BoolPoly, mask_renamed
 from .circuit import Circuit
 from .exact import Amplitude
-from .rewrite import DETERMINISTIC_FIRST, _run, normalize
+from .rewrite import DETERMINISTIC_FIRST, _run, normalize, reduce
 from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, as_bits, bra,
                    compose, evaluate, interpret)
 
@@ -71,10 +71,11 @@ def _sandwich_one(gn: PathSum, qubit: int) -> PathSum:
     between the copies; a constant wire needs nothing; each of the m
     other wires gets one mediator (``_mediate``).  One more mediator,
     with phase term y*(O_qubit + 1), forces the wire to 1.  Copy a's
-    unshared variables come first, then copy b (all of gn's k, shifted
-    above them, the s shared ones included), then the mediators and y:
-    2k - s + m + 1 variables and scalar gn.scalar^2 * 2^-(m+1).  The XOR
-    of the two phases cancels each term in shared variables only.
+    unshared variables come first (``mask_renamed``), then copy b (all of
+    gn's k, shifted above them, the s shared ones included), then the
+    mediators and y: 2k - s + m + 1 variables and scalar
+    gn.scalar^2 * 2^-(m+1).  The XOR of the two phases cancels each term
+    in shared variables only.
 
     The numbering is the order in which the variables of the composed
     sandwich compose(adjoint(P gn), P gn) survive ``normalize``; with it
@@ -92,30 +93,19 @@ def _sandwich_one(gn: PathSum, qubit: int) -> PathSum:
         else:  # a constant adds nothing to shared
             shared |= v
     shift = k - shared.bit_count()
-    rename, low = {}, 1  # copy a: each variable's bit to its new bit
+    bits, low = [], 1  # copy a: variable v becomes bits[v]
     for v in range(k):
-        bit = 1 << v
-        if bit & shared:
-            rename[bit] = bit << shift
+        if shared >> v & 1:
+            bits.append(1 << v + shift)
         else:
-            rename[bit], low = low, low << 1
-
-    def copy_a(masks):
-        out = set()
-        for mm in masks:
-            new = 0
-            while mm:
-                bit = mm & -mm
-                new |= rename[bit]
-                mm ^= bit
-            out.add(new)
-        return out
-
-    phase = copy_a(gn.phase.monomials)
+            bits.append(low)
+            low <<= 1
+    phase = set(mask_renamed(gn.phase.monomials, bits))
     phase ^= {mm << shift for mm in gn.phase.monomials}
     med = shift + k
     m = len(mediated)
-    _mediate(phase, med, mediated, [copy_a(o) for o in mediated], shift)
+    _mediate(phase, med, mediated, [set(mask_renamed(o, bits)) for o in mediated],
+             shift)
     _mediate(phase, med + m, (gn.outputs[qubit].monomials,), ({0},), shift)
     return PathSum(gn.scalar * gn.scalar * Amplitude(1, -2 * (m + 1)),
                    med + m + 1, BoolPoly(frozenset(phase)), (), ())
@@ -196,12 +186,16 @@ def recover_shift(circuit: Circuit,
     The state sum [circuit]|0...0>, interpreted on that input with one
     variable per Hadamard, is normalized once.  On a hidden-shift instance
     it collapses to |s> with no variables left, after exactly #H steps, and
-    the shift is read off its outputs; a state that keeps variables falls
-    back to one projector sandwich per qubit.
+    the shift is read off its outputs.  Otherwise it is read off the state
+    after affine elimination (``reduce``), if that leaves no variables, or
+    else off one projector sandwich of the normal form per qubit.
     """
     n = circuit.num_qubits
     gn, gtrace = normalize(interpret(circuit, (0,) * n), DETERMINISTIC_FIRST)
     steps = len(gtrace)
+    reduced = reduce(gn)
+    if reduced.num_vars == 0:
+        gn = reduced
     probs = []
     for i in range(n):
         prob, taken = _probability_one(gn, i, max_eval_vars)

@@ -268,6 +268,19 @@ def nonlinear_shift_circuit(n, shift, network, g_monomials):
     return Circuit(n, tuple(gates))
 
 
+def random_network(rng, width, depth):
+    """A random pi network for ``nonlinear_shift_circuit``: ``depth``
+    (controls, target) pairs on ``width`` wires, each a CNOT or a
+    Toffoli with even odds."""
+    network = []
+    for _ in range(depth):
+        t = rng.randrange(width)
+        others = [q for q in range(width) if q != t]
+        controls = tuple(sorted(rng.sample(others, rng.choice((1, 2)))))
+        network.append((controls, t))
+    return network
+
+
 @st.composite
 def path_sums(draw, max_vars=7):
     """Small sums with up to 3 in and 3 out wires; shrinks termwise."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathsum.boolpoly import BoolPoly, mask_bits
+from pathsum.boolpoly import BoolPoly, mask_bits, mask_renamed
 from support import eval_mask
 
 x, y, z, w = (BoolPoly.var(i) for i in range(4))
@@ -150,6 +150,16 @@ class TestSimpleMap:
                 if (pt >> v & 1) ^ negs[v]:
                     img |= 1 << perm[v]
             assert eval_mask(p, pt) == eval_mask(q, img)
+
+    def test_mask_renamed_is_the_map_without_negations(self):
+        rng = random.Random(22)
+        for _ in range(400):
+            k = rng.randrange(41)
+            p = BoolPoly(rng.getrandbits(k) for _ in range(rng.randrange(12)))
+            targets = rng.sample(range(2 * k + 1), k)
+            got = mask_renamed(p.monomials, [1 << w for w in targets])
+            phi = {v: (w, 0) for v, w in enumerate(targets)}
+            assert sorted(got) == sorted(p.apply_simple_map(phi).monomials)
 
 
 class TestRingLaws:

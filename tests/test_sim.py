@@ -24,7 +24,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import (EVAL_PIN, GUARD_PIN, POOL12,  # noqa: E402
                                  POOL16)
 from support import (bits_to_index, eval_mask,  # noqa: E402
-                     nonlinear_shift_circuit, random_hidden_shift_spec)
+                     nonlinear_shift_circuit, random_hidden_shift_spec,
+                     random_network)
 
 
 class TestStrongSim:
@@ -408,11 +409,13 @@ class TestRecoverShift:
             assert recover_shift(c).rewrite_steps_total == hs
 
     def test_steps_of_states_that_keep_variables(self):
-        # a nonlinear pi leaves state variables, so each qubit's sandwich
-        # adds the rewrites normalize takes on it, and not the steps that
-        # affine elimination takes after them
+        # a nonlinear pi leaves state variables.  Where affine elimination
+        # removes them all (n = 6), the shift is read off the reduced state
+        # and only normalize's steps count; otherwise (n = 8) each qubit's
+        # sandwich adds the rewrites normalize takes on it, and not the
+        # steps that affine elimination takes after them
         for n, network, shift, steps in (
-                (6, [((2,), 0), ((1, 2), 0), ((0, 1), 2)], "101101", 92),
+                (6, [((2,), 0), ((1, 2), 0), ((0, 1), 2)], "101101", 24),
                 (8, [((2,), 1), ((2,), 3), ((1, 2), 0), ((2, 3), 1)],
                  "10001000", 208)):
             c = nonlinear_shift_circuit(n, as_bits(shift), network, [(0,)])
@@ -421,8 +424,32 @@ class TestRecoverShift:
             assert gn.num_vars > 0
             res = recover_shift(c)
             assert res.shift_string() == shift
+            sandwiches = range(n) if reduce(gn).num_vars else ()
             assert res.rewrite_steps_total == steps == len(trace) + sum(
-                len(normalize(_sandwich_one(gn, q))[1]) for q in range(n))
+                len(normalize(_sandwich_one(gn, q))[1]) for q in sandwiches)
+
+    def test_states_that_collapse_under_affine_elimination(self):
+        # a random Toffoli/CNOT pi of depth n/2: normalize leaves state
+        # variables on all but the first instance, and reduce removes them
+        # all, so the shift is read off the reduced state with no sandwich
+        rng = random.Random(5)
+        kept = []
+        for n in (8, 12, 16, 32, 64):
+            network = random_network(rng, n // 2, n // 2)
+            shift = tuple(rng.randrange(2) for _ in range(n))
+            c = nonlinear_shift_circuit(n, shift, network, [(0,)])
+            if n <= 12:
+                vec = statevector_oracle(c, (0,) * n)
+                assert vec[bits_to_index(shift)].is_one()
+            gn, trace = normalize(interpret(c, (0,) * n))
+            kept.append(gn.num_vars)
+            assert reduce(gn).num_vars == 0
+            res = recover_shift(c)
+            assert res.shift == shift
+            assert res.rewrite_steps_total == len(trace)
+            assert all(p.is_one() or p.is_zero()
+                       for p in res.per_qubit_probability)
+        assert [k > 0 for k in kept] == [False, True, True, True, True]
 
     def test_full_reduction_of_state_sum(self):
         rng = random.Random(94)
