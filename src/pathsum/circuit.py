@@ -93,9 +93,15 @@ def parse(text: str) -> Circuit:
     (of the bad token, for a non-integer); columns are found only then.
     A gate line that repeats an earlier one, character for character, is
     parsed once: the repeat shares the first one's (frozen) ``Gate``.
+    An integer is an optional '-' and ASCII digits (``_integer``).
     """
     if not isinstance(text, str):
         raise CircuitParseError("input is not text", 1)
+    # int reads every token _integer does, and also '+1', '1_0' and
+    # non-ASCII digits; a text without '+', '_' and non-ASCII characters
+    # holds none of those, so int alone reads it, a call per token cheaper
+    read = (int if text.isascii() and "+" not in text and "_" not in text
+            else _integer)
     num_qubits: Optional[int] = None
     gates: list[Gate] = []
     parsed: dict[str, Gate] = {}  # gate lines that validated, by their text
@@ -114,7 +120,7 @@ def parse(text: str) -> Circuit:
                     raise _LineError("expected 'qubits N' header")
                 if len(tokens) != 2:
                     raise _LineError("'qubits' takes one count")
-                num_qubits = _ints(tokens[1:], lineno, raw)[0]
+                num_qubits = _ints(tokens[1:], read, lineno, raw)[0]
                 if num_qubits < 0:
                     raise _LineError("negative qubit count")
                 if num_qubits > MAX_QUBITS:
@@ -129,7 +135,7 @@ def parse(text: str) -> Circuit:
                 head = CMZ
             elif head not in _KINDS:
                 raise _LineError(f"unknown gate mnemonic {head!r}")
-            qubits = _ints(tokens[1:], lineno, raw)
+            qubits = _ints(tokens[1:], read, lineno, raw)
             if head == CMZ and len(qubits) > DEFAULT_MAX_CONTROLS + 1:
                 raise _LineError(f"z on {len(qubits)} qubits exceeds the "
                                  f"maximum of {DEFAULT_MAX_CONTROLS} controls")
@@ -154,18 +160,31 @@ class _LineError(Exception):
     """A parse error at the first token of the current line."""
 
 
-def _ints(tokens: list[str], lineno: int, raw: str) -> tuple[int, ...]:
-    """The tokens as base-10 integers; the first bad one is the error."""
+def _integer(token: str) -> int:
+    """A base-10 integer written as an optional '-' and ASCII digits.
+
+    ``int`` alone also reads '+1', '1_0' and non-ASCII digits, such as
+    the Arabic-Indic ones; neither the circuit format nor the CLI's
+    integer options do.
+    """
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
+    raise ValueError(f"expected an integer, got {token!r}")
+
+
+def _ints(tokens: list[str], read, lineno: int, raw: str) -> tuple[int, ...]:
+    """The tokens as integers, each read by ``read`` (``int`` or
+    ``_integer``); the first one ``_integer`` refuses is the error."""
     try:
-        return tuple(map(int, tokens))
+        return tuple(map(read, tokens))
     except ValueError:
         for token in tokens:
             try:
-                int(token, 10)
-            except ValueError:
-                col = raw.index(token) + 1 if token in raw else 1
-                raise CircuitParseError(f"expected an integer, got {token!r}",
-                                        lineno, col) from None
+                _integer(token)
+            except ValueError as exc:
+                raise CircuitParseError(str(exc), lineno,
+                                        raw.index(token) + 1) from None
         raise
 
 

@@ -15,8 +15,8 @@ import random
 import sys
 
 from . import fuzz
-from .circuit import (CircuitParseError, HiddenShiftSpec, hidden_shift_circuit,
-                      parse, serialize)
+from .circuit import (CircuitParseError, HiddenShiftSpec, _integer,
+                      hidden_shift_circuit, parse, serialize)
 from .rewrite import DETERMINISTIC_FIRST, normalize, seeded_random, simply_equivalent
 from .sim import NonDeterministicOutcomeError, measure_sim, recover_shift, strong_sim
 # compose is not called here, but stays a module global: the benchmark's
@@ -31,13 +31,19 @@ EXIT_NONDETERMINISTIC = 4
 EXIT_CONFLUENCE = 5
 
 
-def _nonnegative(text: str) -> int:
-    """A count or guard option value: a nonnegative integer."""
+def _int_option(text: str) -> int:
+    """An integer option value, read as the circuit format reads one
+    (``circuit._integer``), blanks around it aside."""
     try:
-        value = int(text)
+        return _integer(text.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {text!r}") from None
+
+
+def _nonnegative(text: str) -> int:
+    """A count or guard option value: a nonnegative integer."""
+    value = _int_option(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -120,7 +126,7 @@ def _parse_g_spec(text: str):
         if not chunk:
             continue
         try:
-            idx = tuple(sorted(int(t) for t in chunk.split(",")))
+            idx = tuple(sorted(_integer(t.strip()) for t in chunk.split(",")))
         except ValueError:
             _fail(f"bad monomial {chunk!r} in --g (expected e.g. 0,1,2)")
         monomials.add(idx)
@@ -135,7 +141,7 @@ def cmd_hidden_shift_gen(args) -> int:
     pi = None
     if args.pi is not None:
         try:
-            pi = tuple(int(t) for t in args.pi.split(","))
+            pi = tuple(_integer(t.strip()) for t in args.pi.split(","))
         except ValueError:
             _fail(f"--pi must be a comma-separated permutation, got {args.pi!r}")
     try:
@@ -238,11 +244,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="exact Pr[qubit i = 1]")
     common(p)
     p.add_argument("--in", required=True, dest="in_bits", metavar="BITS")
-    p.add_argument("--qubit", required=True, type=int)
+    p.add_argument("--qubit", required=True, type=_int_option)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("hidden-shift-gen", help="write a hidden-shift instance")
-    p.add_argument("--n", required=True, type=int, help="even qubit count")
+    p.add_argument("--n", required=True, type=_int_option, help="even qubit count")
     p.add_argument("--shift", required=True, metavar="BITS")
     p.add_argument("--g", default="", metavar="SPEC",
                    help="semicolon-separated monomials of second-half indices, "
@@ -263,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="normalize the state C|x> built on this basis input "
                         "(no input wires) instead of the operator C")
     p.add_argument("--strategy", choices=("first", "random"), default="first")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_option, default=0,
                    help="seed of --strategy random (default: 0); "
                         "ignored under --strategy first")
     p.add_argument("--trace", action="store_true", help="print the step trace")
@@ -278,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="variable cap of the simple-equivalence check (default "
                         "and largest: 8); larger normal forms are compared by "
                         "evaluation.  It does not size the fuzz sums")
-    p.add_argument("--seed", type=int, default=0, help="fuzz seed (default: 0)")
+    p.add_argument("--seed", type=_int_option, default=0, help="fuzz seed (default: 0)")
     common(p, circuit=False)
     p.set_defaults(func=cmd_check_confluence)
 

@@ -3,8 +3,10 @@
 Every driver interprets the circuit on its basis input, so the state
 sum [circuit]|in> has one variable per Hadamard and no input wires.
 Amplitude queries close it with <out| into the 0 -> 0 path sum
-<out| [circuit] |in>.  Measurement closes the normalized state around
-a projector in one sandwich whose two copies share each wire that is a
+<out| [circuit] |in>.  Measurement interprets only the measured qubit's
+light cone (``_light_cone``), the gates that do not commute with the
+conjugated projector, and closes the normalized state around the
+projector in one sandwich whose two copies share each wire that is a
 bare variable.  One pass takes a closed sum to its normal form and
 shrinks that by affine elimination (``reduce``); what is left is
 evaluated densely.  A guard refuses evaluation when the residual keeps
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolpoly import BoolPoly, mask_renamed
-from .circuit import Circuit
+from .circuit import CMZ, H, SWAP, X, Circuit
 from .exact import Amplitude
 from .rewrite import DETERMINISTIC_FIRST, _run, normalize, reduce
 from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, as_bits, bra,
@@ -148,6 +150,54 @@ def _probability_one(gn: PathSum, qubit: int,
     return amp, steps
 
 
+def _light_cone(circuit: Circuit, qubit: int) -> Circuit:
+    """The gates of ``circuit`` that can reach the measured wire, in order.
+
+    Walking from the last gate to the first, each wire has a state for
+    the observable O, P1 on ``qubit`` conjugated by the gates kept so far:
+    0 if O acts trivially on it, 1 if O commutes with Z there, 2 if
+    unknown.  A gate that commutes with O is dropped, so
+    C^dagger P1 C equals the kept circuit's sandwich:
+
+    - C^(m)Z, diagonal, commutes with Z on each of its wires: dropped when
+      all are at most 1, else kept, its wires at 0 moving to 1;
+    - X is dropped on a wire at 0 and leaves the state alone, since
+      X Z X = -Z still commutes with Z;
+    - SWAP is dropped when both wires are at 0, else exchanges their states;
+    - H is dropped on a wire at 0, else moves it to 2.
+
+    ``strong_sim`` and ``recover_shift`` interpret the whole circuit: an
+    amplitude has no cone, and ``recover_shift`` reads every qubit off one
+    state.
+    """
+    state = [0] * circuit.num_qubits
+    state[qubit] = 1
+    kept = []
+    for gate in reversed(circuit.gates):
+        kind, qs = gate.kind, gate.qubits
+        if kind == CMZ:
+            for q in qs:
+                if state[q] == 2:
+                    break
+            else:  # every wire at most 1: the gate commutes with O
+                continue
+            for q in qs:
+                if not state[q]:
+                    state[q] = 1
+        elif kind == SWAP:
+            a, b = qs
+            if not (state[a] or state[b]):
+                continue
+            state[a], state[b] = state[b], state[a]
+        elif not state[qs[0]]:  # H or X on a wire O does not touch
+            continue
+        elif kind == H:
+            state[qs[0]] = 2
+        kept.append(gate)
+    kept.reverse()
+    return Circuit(circuit.num_qubits, kept)
+
+
 def strong_sim(circuit: Circuit, in_bits, out_bits,
                max_eval_vars: int = DEFAULT_MAX_EVAL_VARS) -> Amplitude:
     """Exact amplitude <out_bits| U |in_bits> of the circuit.
@@ -169,13 +219,16 @@ def measure_sim(circuit: Circuit, in_bits, qubit: int,
     """Exact probability, as an ``Amplitude``, that the given qubit
     measures 1 on this input.
 
-    The guard bounds the projector sandwich's variables after
-    normalization and affine elimination, as in ``strong_sim``.
+    Only the qubit's light cone (``_light_cone``) is interpreted: the
+    dropped gates cancel in <in| C^dagger P1 C |in>.  The guard bounds the
+    projector sandwich's variables after normalization and affine
+    elimination, as in ``strong_sim``.
     """
     n = circuit.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    gn, _ = normalize(interpret(circuit, in_bits), DETERMINISTIC_FIRST)
+    gn, _ = normalize(interpret(_light_cone(circuit, qubit), in_bits),
+                      DETERMINISTIC_FIRST)
     return _probability_one(gn, qubit, max_eval_vars)[0]
 
 

@@ -40,6 +40,12 @@ class TestParse:
         c = parse("  qubits   3 # three wires\n\n# nothing\n  z  0   2\n")
         assert c == Circuit(3, (Gate("z", (0, 2)),))
 
+    def test_comments_may_hold_any_character(self):
+        # '+', '_' and non-ASCII text outside the integers change nothing
+        c = parse("qubits 2 # n_2, \u00e9\nh 1\ncz 0 1 # +1\nh -0\n")
+        assert c == Circuit(2, (Gate("h", (1,)), Gate("z", (0, 1)),
+                                Gate("h", (0,))))
+
     def test_repeated_qubit(self):
         with pytest.raises(CircuitParseError, match="repeated qubit"):
             parse("qubits 1\nz 0 0\n")
@@ -88,6 +94,15 @@ class TestParse:
         ("qubits 3\n  z 1 5 9\n",
          "line 2, column 3: qubit 5 out of range for 3 qubits"),
         ("", "line 1, column 1: empty input: missing 'qubits N' header"),
+        # integers are an optional '-' and ASCII digits, nothing else
+        ("qubits 12\nh 1_0\n", "line 2, column 3: expected an integer, got '1_0'"),
+        ("qubits 3\n cz 0 +1\n", "line 2, column 7: expected an integer, got '+1'"),
+        ("qubits \u0663\n", "line 1, column 8: expected an integer, got '\u0663'"),
+        ("qubits 3\nh \uff11 # wide\n",
+         "line 2, column 3: expected an integer, got '\uff11'"),
+        ("qubits 3 # \u00e9\nx -1\n", "line 2, column 1: negative qubit index"),
+        ("qubits 3\nh 0 # a_b\nz 0 - 1\n",
+         "line 3, column 5: expected an integer, got '-'"),
     ])
     def test_error_messages_and_positions(self, text, message):
         # every check keeps its message, line and column; the column is

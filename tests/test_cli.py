@@ -465,3 +465,44 @@ class TestCheckConfluence:
         assert r.returncode == 0
         data = json.loads(r.stdout)
         assert data["passes"] == 500 and data["failures"] == 0
+
+
+class TestIntegerOptions:
+    """Integer options read an optional '-' and ASCII digits, as the
+    circuit format does; '+', '_' and non-ASCII digits are input errors."""
+
+    @pytest.mark.parametrize("value", ["1_0", "+1", "\u0661", "0x1", "-"])
+    def test_refused(self, value, h_circuit, tmp_path, capsys):
+        from pathsum.cli import main
+        out = str(tmp_path / "hs.pathsum")
+        for argv, flag in (
+                (["measure", "--circuit", h_circuit, "--in", "0"], "--qubit"),
+                (["amp", "--circuit", h_circuit, "--in", "0", "--out", "0"],
+                 "--max-eval-vars"),
+                (["hidden-shift-gen", "--shift", "01", "-o", out], "--n"),
+                (["normalize", "--circuit", h_circuit], "--seed"),
+                (["check-confluence"], "--seed"),
+                (["check-confluence"], "--trials")):
+            assert main(argv + [flag, value]) == 2, (argv, flag)
+            err = capsys.readouterr().err
+            assert f"{flag}: must be an integer, got {value!r}" in err
+        assert not os.path.exists(out)
+
+    def test_lists_refused(self, tmp_path, capsys):
+        from pathsum.cli import main
+        out = str(tmp_path / "hs.pathsum")
+        gen = ["hidden-shift-gen", "--n", "4", "--shift", "0110", "-o", out]
+        assert main(gen + ["--g", "0,\u0661"]) == 2
+        assert "bad monomial" in capsys.readouterr().err
+        assert main(gen + ["--pi", "+1,0"]) == 2
+        assert "--pi must be" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert main(gen + ["--g", "0, 1", "--pi", "1, 0"]) == 0
+
+    def test_accepted(self, h_circuit, capsys):
+        from pathsum.cli import main
+        for value in ("0", "-0", "00", " 0"):
+            assert main(["measure", "--circuit", h_circuit, "--in", "0",
+                         "--qubit", value, "--json"]) == 0, value
+            assert json.loads(capsys.readouterr().out)["probability"] == {
+                "num": 1, "half_exp": -2}

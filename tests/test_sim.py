@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathsum.circuit import (Circuit, Gate, HiddenShiftSpec,
                              hidden_shift_circuit, random_circuit)
@@ -13,17 +15,18 @@ from pathsum.exact import Amplitude
 from pathsum.oracle import marginal_one, statevector_oracle
 from pathsum.rewrite import find_rewrites, normalize, reduce, simply_equivalent
 from pathsum.sim import (NonDeterministicOutcomeError, _closed_value,
-                         _sandwich_one, measure_sim, projector_one,
-                         recover_shift, strong_sim)
-from pathsum.sums import (EvalGuardError, PathSum, adjoint, as_bits, bra,
-                          compose, evaluate, identity, interpret, ket,
-                          tensor, to_json)
+                         _light_cone, _probability_one, _sandwich_one,
+                         measure_sim, projector_one, recover_shift,
+                         strong_sim)
+from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, PathSum,
+                          adjoint, as_bits, bra, compose, evaluate, identity,
+                          interpret, ket, tensor, to_json)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.workloads import (EVAL_PIN, GUARD_PIN, POOL12,  # noqa: E402
                                  POOL16)
-from support import (bits_to_index, eval_mask,  # noqa: E402
+from support import (bits_to_index, circuits, eval_mask,  # noqa: E402
                      nonlinear_shift_circuit, random_hidden_shift_spec,
                      random_network)
 
@@ -156,6 +159,11 @@ def reference_sandwich(gn, qubit):
     return ref
 
 
+#: every query the random-measure workload can draw
+BENCHMARK_QUERIES = ([(12, 200, *q) for q in POOL12]
+                     + [(16, 300, *q) for q in POOL16] + [GUARD_PIN, EVAL_PIN])
+
+
 @pytest.fixture(scope="module")
 def pool_states():
     """(n, circuit seed, input, normalized state) of each pool query."""
@@ -268,15 +276,125 @@ class TestSandwichOne:
     def test_benchmark_queries_keep_their_residual(self):
         # reduce leaves as many variables as on the reference, on every
         # query the random-measure workload can draw
-        queries = ([(12, 200, *q) for q in POOL12]
-                   + [(16, 300, *q) for q in POOL16] + [GUARD_PIN, EVAL_PIN])
-        assert len(queries) == 34
-        for n, depth, cseed, bits, q in queries:
+        assert len(BENCHMARK_QUERIES) == 34
+        for n, depth, cseed, bits, q in BENCHMARK_QUERIES:
             c = random_circuit(n, depth, seed=cseed)
             gn, _ = normalize(interpret(c, bits))
             new = reduce(normalize(_sandwich_one(gn, q))[0])
             ref = reduce(normalize(reference_sandwich(gn, q))[0])
             assert new.num_vars == ref.num_vars, (n, cseed, bits, q)
+
+
+def unpruned_probability(c, bits, qubit, guard=DEFAULT_MAX_EVAL_VARS):
+    """``measure_sim`` without the light cone: the whole circuit's state."""
+    return _probability_one(normalize(interpret(c, bits))[0], qubit, guard)[0]
+
+
+class TestLightCone:
+    """``_light_cone`` keeps the gates that can reach the measured wire."""
+
+    def test_matches_whole_circuit_and_oracle(self):
+        rng = random.Random(230)
+        for i in range(600):
+            n = rng.randint(1, 8)
+            c = random_circuit(n, rng.randint(0, 3 * n + 6),
+                               max_controls=min(2, n - 1), seed=i + 23000)
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            vec = statevector_oracle(c, bits)
+            for q in range(n):
+                got = measure_sim(c, bits, q)
+                assert got == unpruned_probability(c, bits, q), (i, q)
+                assert got == marginal_one(vec, n, q), (i, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuits(max_qubits=6, max_gates=24), st.data())
+    def test_matches_oracle_property(self, c, data):
+        n = c.num_qubits
+        bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+        q = data.draw(st.integers(0, n - 1))
+        got = measure_sim(c, bits, q)
+        assert got == unpruned_probability(c, bits, q)
+        assert got == marginal_one(statevector_oracle(c, bits), n, q)
+
+    def test_kept_gates_are_an_ordered_subsequence_and_stable(self):
+        rng = random.Random(231)
+        for i in range(200):
+            n = rng.randint(1, 8)
+            c = random_circuit(n, rng.randint(0, 40),
+                               max_controls=min(2, n - 1), seed=i + 23100)
+            for q in range(n):
+                cone = _light_cone(c, q)
+                assert cone.num_qubits == n
+                rest = iter(c.gates)
+                assert all(any(g is h for h in rest) for g in cone.gates)
+                assert _light_cone(cone, q) == cone, (i, q)
+
+    def test_hand_cases(self):
+        h, x, z, swap = (lambda *qs, k=k: Gate(k, qs)
+                         for k in ("h", "x", "z", "swap"))
+
+        def kept(gates, qubit, n=3):
+            return _light_cone(Circuit(n, gates), qubit).gates
+
+        # a trailing CZ on the measured wire is diagonal: dropped, and with
+        # it the H on the other wire
+        assert kept((h(0), h(1), z(0, 1)), 0) == (h(0),)
+        # an X between two diagonal gates leaves the wire commuting with
+        # Z, so the earlier CZ is dropped too
+        assert kept((h(0), h(1), z(0, 1), x(0), z(0, 1)), 0) == (h(0), x(0))
+        # an H after a CZ: the wire is unknown, so the CZ stays and pulls
+        # in its other wire's H
+        gates = (h(0), h(1), z(0, 1), h(0))
+        assert kept(gates, 0) == gates
+        # a SWAP moves the measured wire; gates on wires outside the cone go
+        assert kept((h(1), x(2), swap(0, 1)), 0) == (h(1), swap(0, 1))
+        assert kept((h(1), swap(1, 2), z(0, 1, 2)), 0) == ()
+        for gates, qubit in (((h(0), h(1), z(0, 1), h(0)), 0),
+                             ((h(1), x(2), swap(0, 1)), 0),
+                             ((h(0), h(1), z(0, 1), x(0), z(0, 1)), 0)):
+            c = Circuit(3, gates)
+            vec = statevector_oracle(c, (0, 0, 0))
+            assert measure_sim(c, (0, 0, 0), qubit) == marginal_one(vec, 3, qubit)
+
+    def test_gate_counts_on_the_benchmark_pools(self):
+        total = kept = 0
+        for n, depth, cseed, _, q in BENCHMARK_QUERIES[:32]:
+            c = random_circuit(n, depth, seed=cseed)
+            total += len(c.gates)
+            kept += len(_light_cone(c, q).gates)
+        assert (total, kept) == (7200, 3377)
+        pins = [len(_light_cone(random_circuit(n, depth, seed=cseed), q).gates)
+                for n, depth, cseed, _, q in BENCHMARK_QUERIES[32:]]
+        assert pins == [231, 191]  # of 300 gates each
+
+    def test_refusals_unchanged(self, pool_states):
+        # reduce leaves the pruned state's sandwich no more variables than
+        # the whole state's, on every pool qubit and on deep circuits that
+        # the guard refuses; they are equal on all 452
+        cases = [(random_circuit(n, 300 if n == 16 else 200, seed=cseed),
+                  bits, gn, q)
+                 for n, cseed, bits, gn in pool_states for q in range(n)]
+        bits = "0010011011100101"
+        for cseed in range(2000, 2012):
+            c = random_circuit(16, 600, seed=cseed)
+            gn = normalize(interpret(c, bits))[0]
+            cases += [(c, bits, gn, q) for q in (0, 7, 15)]
+        assert len(cases) == 452
+        equal = 0
+        for c, bits, gn, q in cases:
+            cone = normalize(interpret(_light_cone(c, q), bits))[0]
+            new = reduce(_sandwich_one(cone, q)).num_vars
+            old = reduce(_sandwich_one(gn, q)).num_vars
+            assert new <= old, (c.num_qubits, bits, q)
+            equal += new == old
+        assert equal == 452
+
+    def test_benchmark_answers_unchanged(self):
+        for n, depth, cseed, bits, q in BENCHMARK_QUERIES:
+            c = random_circuit(n, depth, seed=cseed)
+            assert measure_sim(c, bits, q, 20) == unpruned_probability(
+                c, bits, q, 20), (n, cseed, bits, q)
 
 
 def assert_one_pass(f, guard):
@@ -305,10 +423,8 @@ class TestClosedValueInOnePass:
         assert refused == 4
 
     def test_benchmark_queries(self):
-        queries = ([(12, 200, *q) for q in POOL12]
-                   + [(16, 300, *q) for q in POOL16] + [GUARD_PIN, EVAL_PIN])
-        assert len(queries) == 34
-        for n, depth, cseed, bits, q in queries:
+        assert len(BENCHMARK_QUERIES) == 34
+        for n, depth, cseed, bits, q in BENCHMARK_QUERIES:
             gn, _ = normalize(interpret(random_circuit(n, depth, seed=cseed), bits))
             assert not assert_one_pass(_sandwich_one(gn, q), 20)
 
