@@ -3,7 +3,9 @@
 The text format is line oriented: a ``qubits N`` header, then one gate
 per line (``h q``, ``x q``, ``swap q1 q2``, ``z q1 [q2 ...]`` meaning a
 multiply-controlled Z on all listed qubits).  ``#`` starts a comment
-and whitespace is insignificant beyond separating tokens.
+and whitespace is insignificant beyond separating tokens.  Lines end at
+``\n``, ``\r\n`` and ``\r`` only; form feeds, U+2028 and the other
+characters ``str.splitlines`` also breaks at stay in their line.
 """
 
 from __future__ import annotations
@@ -102,11 +104,13 @@ def parse(text: str) -> Circuit:
     # holds none of those, so int alone reads it, a call per token cheaper
     read = (int if text.isascii() and "+" not in text and "_" not in text
             else _integer)
+    if "\r" in text:  # end lines where open()'s universal newlines do
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     num_qubits: Optional[int] = None
     gates: list[Gate] = []
     parsed: dict[str, Gate] = {}  # gate lines that validated, by their text
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             gate = parsed.get(raw)
             if gate is not None:
                 gates.append(gate)
@@ -120,7 +124,7 @@ def parse(text: str) -> Circuit:
                     raise _LineError("expected 'qubits N' header")
                 if len(tokens) != 2:
                     raise _LineError("'qubits' takes one count")
-                num_qubits = _ints(tokens[1:], read, lineno, raw)[0]
+                num_qubits = _ints(tokens, read, lineno, raw)[0]
                 if num_qubits < 0:
                     raise _LineError("negative qubit count")
                 if num_qubits > MAX_QUBITS:
@@ -135,7 +139,7 @@ def parse(text: str) -> Circuit:
                 head = CMZ
             elif head not in _KINDS:
                 raise _LineError(f"unknown gate mnemonic {head!r}")
-            qubits = _ints(tokens[1:], read, lineno, raw)
+            qubits = _ints(tokens, read, lineno, raw)
             if head == CMZ and len(qubits) > DEFAULT_MAX_CONTROLS + 1:
                 raise _LineError(f"z on {len(qubits)} qubits exceeds the "
                                  f"maximum of {DEFAULT_MAX_CONTROLS} controls")
@@ -174,17 +178,20 @@ def _integer(token: str) -> int:
 
 
 def _ints(tokens: list[str], read, lineno: int, raw: str) -> tuple[int, ...]:
-    """The tokens as integers, each read by ``read`` (``int`` or
-    ``_integer``); the first one ``_integer`` refuses is the error."""
+    """The line's tokens after its first as integers, each read by
+    ``read`` (``int`` or ``_integer``); the first one ``_integer`` refuses
+    is the error, at its own column in the line ``raw``."""
     try:
-        return tuple(map(read, tokens))
+        return tuple(map(read, tokens[1:]))
     except ValueError:
-        for token in tokens:
+        end = raw.index(tokens[0]) + len(tokens[0])
+        for token in tokens[1:]:
+            start = raw.index(token, end)  # only blanks lie in between
+            end = start + len(token)
             try:
                 _integer(token)
             except ValueError as exc:
-                raise CircuitParseError(str(exc), lineno,
-                                        raw.index(token) + 1) from None
+                raise CircuitParseError(str(exc), lineno, start + 1) from None
         raise
 
 

@@ -58,8 +58,8 @@ def _equivalence_cap(text: str) -> int:
 
 
 def _read_circuit(path: str):
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    try:  # utf-8-sig: a leading byte-order mark is not part of the text
+        with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
             text = fh.read()
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
@@ -279,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fuzz normal-form uniqueness up to simple equivalence")
     p.add_argument("--trials", type=_nonnegative, default=100,
                    help="fuzz sums to normalize both ways (default: 100); each "
-                        "folds a random circuit of at most 3 qubits and 6 gates")
+                        "interprets a random circuit of at most 3 qubits and 6 "
+                        "gates, with h;h spliced on every wire between its gates")
     p.add_argument("--max-vars", type=_equivalence_cap, default=8, dest="max_vars",
                    help="variable cap of the simple-equivalence check (default "
                         "and largest: 8); larger normal forms are compared by "

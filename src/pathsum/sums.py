@@ -161,7 +161,7 @@ def compose(a: PathSum, b: PathSum) -> PathSum:
 def _mediate(phase: set[int], med: int, outputs, inputs, shift: int) -> None:
     """Add y_(med+i) * (O_i << shift + I_i) to the phase for each wire i,
     given as monomial masks: the mediator term, which forces O_i = I_i,
-    of ``compose``, of the fuzz fold and of the measurement sandwich."""
+    of ``compose`` and of the measurement sandwich."""
     ybit = 1 << med
     for o, i in zip(outputs, inputs):
         term = {mm << shift for mm in o}
@@ -274,8 +274,8 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     out[q]; C^(m)Z adds the product of its wires' outputs to the phase;
     SWAP exchanges two outputs.  The result has exactly n + #H variables
     and scalar 2^(-#H/2).  Outputs and phase are kept as plain sets of
-    monomial masks, folded by ``_fold_gates``, and become polynomials
-    once, at the end.
+    monomial masks, updated in place gate by gate, and become
+    polynomials once, at the end.
 
     Given a basis input ``in_bits`` (width n), wire q starts as the
     constant b_q instead, and the result is the state [circuit]|x>: #H
@@ -293,18 +293,9 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
             raise ValueError(f"input must have width {n}, got {len(bits)}")
         out = [{0} if b else set() for b in bits]
         inputs = ()
-    k0 = len(inputs)
+    k0 = k = len(inputs)
     phase: set[int] = set()
-    k = _fold_gates(circuit.gates, out, phase, k0)
-    return PathSum(Amplitude(1, k0 - k), k, BoolPoly(frozenset(phase)),
-                   tuple(BoolPoly(frozenset(o)) for o in out), inputs)
-
-
-def _fold_gates(gates, out: list[set[int]], phase: set[int], k: int) -> int:
-    """Apply the gates in place to the wire outputs and the phase, sets of
-    monomial masks, the Hadamards taking variables k, k + 1, ...; returns
-    the next free variable.  The gate loop of ``interpret`` and the fuzz."""
-    for gate in gates:
+    for gate in circuit.gates:
         qs = gate.qubits
         if gate.kind == H:
             phase ^= {(1 << k) | mm for mm in out[qs[0]]}
@@ -319,7 +310,8 @@ def _fold_gates(gates, out: list[set[int]], phase: set[int], k: int) -> int:
             phase ^= prod
         else:  # SWAP
             out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
-    return k
+    return PathSum(Amplitude(1, k0 - k), k, BoolPoly(frozenset(phase)),
+                   tuple(BoolPoly(frozenset(o)) for o in out), inputs)
 
 
 # ---------------------------------------------------------------------------

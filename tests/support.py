@@ -3,7 +3,7 @@
 None of this is in the package: dense matrix algebra for the
 homomorphism laws, each gate's defining sum, variable renamings, point
 evaluation of polynomials, the affine step's detector as a second scan,
-the confluence fuzz sum as a compose fold and as one interpretation,
+the confluence fuzz sum as a compose fold and the renaming into it,
 and random sums, circuits and instances.
 """
 
@@ -137,7 +137,7 @@ def random_path_sum(rng, max_vars=8, max_wires=3, n_in=None, n_out=None):
     return PathSum(Amplitude(1, rng.randint(-6, 6)), k, phase, outputs, inputs)
 
 
-def _fuzz_circuit(rng, max_qubits, max_gates):
+def fuzz_circuit(rng, max_qubits, max_gates):
     """The fuzz generator's first draws: a width and a random circuit."""
     n = rng.randint(1, max_qubits)
     depth = rng.randint(1, max_gates)
@@ -145,7 +145,7 @@ def _fuzz_circuit(rng, max_qubits, max_gates):
                           seed=rng.getrandbits(32))
 
 
-def _fuzz_caps(rng, s, n):
+def fuzz_caps(rng, s, n):
     """The fuzz generator's last draws: a random ket and bra on s."""
     if rng.randrange(2):
         s = compose(s, ket(tuple(rng.randrange(2) for _ in range(n))))
@@ -157,26 +157,17 @@ def _fuzz_caps(rng, s, n):
 def reference_path_sum_from_circuit(rng, max_qubits=3, max_gates=6):
     """The confluence fuzz sum as a compose fold of one-gate
     interpretations, optionally capped with kets/bras."""
-    circ = _fuzz_circuit(rng, max_qubits, max_gates)
+    circ = fuzz_circuit(rng, max_qubits, max_gates)
     n = circ.num_qubits
     s = interpret(Circuit(n, circ.gates[:1]))
     for gate in circ.gates[1:]:
         s = compose(interpret(Circuit(n, (gate,))), s)
-    return _fuzz_caps(rng, s, n)
+    return fuzz_caps(rng, s, n)
 
 
-def interpreted_path_sum_from_circuit(rng, max_qubits=3, max_gates=6):
-    """The confluence fuzz sum as one interpretation, optionally capped.
-
-    compose(interpret(g2), interpret(g1)) is interpret(g1; h q; h q on
-    every wire q; g2) up to renaming: the first h on a wire is the
-    mediator and the second g2's input variable.  The circuit gets h;h
-    on every wire between consecutive gates and is renamed into the
-    compose fold's numbering: gate j's block (n inputs, then its H
-    variable) starts after the blocks of the later gates, and the
-    mediators follow all blocks, boundary by boundary, wire by wire.
-    """
-    circ = _fuzz_circuit(rng, max_qubits, max_gates)
+def spliced(circ):
+    """circ with h q; h q on every wire q between consecutive gates: the
+    circuit whose one interpretation, capped, is the confluence fuzz sum."""
     n = circ.num_qubits
     gates = []
     for j, gate in enumerate(circ.gates):
@@ -184,6 +175,22 @@ def interpreted_path_sum_from_circuit(rng, max_qubits=3, max_gates=6):
             for q in range(n):
                 gates += [Gate("h", (q,)), Gate("h", (q,))]
         gates.append(gate)
+    return Circuit(n, tuple(gates))
+
+
+def fold_renaming(circ, num_vars):
+    """The renaming of interpret(spliced(circ)), capped to num_vars
+    variables, into the numbering of the compose fold of circ's gates.
+
+    compose(interpret(g2), interpret(g1)) is interpret(g1; h q; h q on
+    every wire q; g2) up to renaming: the first h on a wire is the
+    mediator and the second g2's input variable.  In the fold, gate j's
+    block (n inputs, then its H variable) starts after the blocks of the
+    later gates, and the mediators follow all blocks, boundary by
+    boundary, wire by wire.  The caps' mediators come after both sums'
+    variables, so they keep their numbers.
+    """
+    n = circ.num_qubits
     blocks = [n + (gate.kind == "h") for gate in circ.gates]
     med = sum(blocks)
     phi = {}
@@ -200,8 +207,8 @@ def interpreted_path_sum_from_circuit(rng, max_qubits=3, max_gates=6):
         if gate.kind == "h":
             phi[v] = (start + n, 0)
             v += 1
-    s = apply_simple_transform(interpret(Circuit(n, tuple(gates))), phi)
-    return _fuzz_caps(rng, s, n)
+    phi.update((w, (w, 0)) for w in range(v, num_vars))
+    return phi
 
 
 def random_hidden_shift_spec(n, rng):

@@ -46,6 +46,22 @@ class TestParse:
         assert c == Circuit(2, (Gate("h", (1,)), Gate("z", (0, 1)),
                                 Gate("h", (0,))))
 
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_only_newlines_end_lines(self, brk):
+        # str.splitlines also ends a line at these characters, open() does
+        # not: in a comment they are comment text, elsewhere whitespace
+        want = Circuit(2, (Gate("h", (0,)), Gate("h", (1,))))
+        assert parse(f"qubits 2\nh 0 # a{brk}b\nh 1\n") == want
+        assert parse(f"qubits 2\n{brk}h{brk}0{brk}\nh 1\n") == want
+
+    def test_carriage_returns_end_lines(self):
+        # as open()'s universal newlines end them, so file and API agree
+        want = parse("qubits 2\nh 0\n\nh 1\n")
+        assert parse("qubits 2\r\nh 0\r\n\r\nh 1\r\n") == want
+        assert parse("qubits 2\rh 0\r\rh 1\r") == want
+        assert parse("qubits 2\r\nh 0\r\rh 1\n") == want
+
     def test_repeated_qubit(self):
         with pytest.raises(CircuitParseError, match="repeated qubit"):
             parse("qubits 1\nz 0 0\n")
@@ -103,6 +119,18 @@ class TestParse:
         ("qubits 3 # \u00e9\nx -1\n", "line 2, column 1: negative qubit index"),
         ("qubits 3\nh 0 # a_b\nz 0 - 1\n",
          "line 3, column 5: expected an integer, got '-'"),
+        # a bad integer is placed at its own token, not at an earlier match
+        ("qubits 3\nswap 0 s\n", "line 2, column 8: expected an integer, got 's'"),
+        ("qubits 3\nz 0 z\n", "line 2, column 5: expected an integer, got 'z'"),
+        # only newlines end lines: a form feed or U+2028 separates tokens
+        ("qubits 2\nh 0\fh 1\n", "line 2, column 5: expected an integer, got 'h'"),
+        ("qubits 2\nh 0\u2028h 1\n",
+         "line 2, column 5: expected an integer, got 'h'"),
+        ("qubits 2\nh 0 # a\fb\nt 1\n",
+         "line 3, column 1: unknown gate mnemonic 't'"),
+        ("qubits 2\nh 0 # a\u2028b\nt 1\n",
+         "line 3, column 1: unknown gate mnemonic 't'"),
+        ("qubits 2\r\nh 0\rt 1\n", "line 3, column 1: unknown gate mnemonic 't'"),
     ])
     def test_error_messages_and_positions(self, text, message):
         # every check keeps its message, line and column; the column is

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +214,23 @@ class TestMeasure:
         r = run("measure", "--circuit", h_circuit, "--in", "0", "--qubit", "5")
         assert r.returncode == 2
 
+    def test_byte_order_mark_and_form_feed_comment(self, tmp_path):
+        # a leading UTF-8 byte-order mark is not text, and a form feed or
+        # U+2028 in a comment ends no line: both files answer as the plain
+        plain = tmp_path / "plain.pathsum"
+        plain.write_text(serialize(random_circuit(4, 30, seed=3)))
+        bom = tmp_path / "bom.pathsum"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        feed = tmp_path / "feed.pathsum"
+        feed.write_text(plain.read_text().replace("\n", " # a\fb\u2028c\n", 2),
+                        encoding="utf-8")
+        argv = ("measure", "--in", "0110", "--qubit", "1")
+        want = run(*argv, "--circuit", str(plain))
+        assert want.returncode == 0 and want.stdout.startswith("probability: ")
+        for path in (bom, feed):
+            r = run(*argv, "--circuit", str(path))
+            assert (r.returncode, r.stdout, r.stderr) == (0, want.stdout, ""), path
+
 
 class TestHiddenShift:
     def test_gen_then_solve_round_trip(self, tmp_path):
@@ -306,7 +324,7 @@ class TestHiddenShift:
         # the state collapses, so only its own normalization takes steps
         from pathsum.circuit import parse
         from pathsum.sums import compose, interpret, ket
-        circ = parse(open(out).read())
+        circ = parse(Path(out).read_text())
         g = compose(interpret(circ), ket((0,) * 16))
         assert data["rewrite_steps"] <= g.num_vars
 

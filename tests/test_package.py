@@ -28,8 +28,9 @@ PUBLIC = [
 #: names deleted from the package or moved to tests/support.py, by the
 #: module or class that held them
 GONE = {"circuit": "Volume volume random_hidden_shift_spec", "sim": "Probability",
-        "sums": "apply_simple_transform gate_sem Matrix", "exact": "Scalar",
-        "fuzz": "random_path_sum _random_poly", "boolpoly": "_assigned_mask",
+        "sums": "apply_simple_transform gate_sem Matrix _fold_gates",
+        "exact": "Scalar", "boolpoly": "_assigned_mask",
+        "fuzz": "random_path_sum _random_poly _fold_gates _mediate",
         "rewrite": "trace_lines", "cli": "ENV_MAX_EVAL_VARS _default_max_eval_vars"}
 GONE_METHODS = {BoolPoly: "of eval_at eval_mask vars", Amplitude: "from_count",
                 Gate: "controls", Circuit: "__len__"}

@@ -226,7 +226,7 @@ class TestAgainstReference:
         assert rules[Rule.HH] > 18000
         # an HH pivot with two targets has two keys in the normalizer's step
         # list; taking its second one runs the two-key delete and insert
-        assert upper > 6000  # 7 356 seen
+        assert upper > 6000  # 7 386 seen
 
     @settings(max_examples=300, deadline=None)
     @given(path_sums(), st.integers(0, 2 ** 32 - 1))
@@ -447,7 +447,7 @@ def assert_reduce_keeps_value(a: PathSum) -> bool:
 class TestReduce:
     def test_keeps_value_on_fuzz_corpus(self):
         shrunk = sum(map(assert_reduce_keeps_value, reduce_corpus(81, 2400)))
-        assert shrunk > 150  # 181 seen
+        assert shrunk > 150  # 185 seen
 
     @settings(max_examples=300, deadline=None)
     @given(sums_with_affine_pivot())
@@ -463,7 +463,7 @@ class TestReduce:
             r = reduce(a)
             assert to_json(r) == to_json(reduce(nf)), a
             shrunk += r.num_vars < nf.num_vars
-        assert shrunk > 200  # 263 seen
+        assert shrunk > 200  # 247 seen
 
     def test_detector_matches_the_reference_on_the_corpora(self):
         # every variable of both corpora's sums and of their normal forms
@@ -471,7 +471,7 @@ class TestReduce:
         for a in chain(reduce_corpus(81, 2400), reduce_corpus(83, 3000)):
             affine += assert_detector_matches_reference(a)
             affine += assert_detector_matches_reference(normalize(a)[0])
-        assert affine > 7000  # 7 873 seen
+        assert affine > 7000  # 7 871 seen
 
     @settings(max_examples=300, deadline=None)
     @given(sums_with_affine_pivot())

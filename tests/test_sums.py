@@ -26,10 +26,10 @@ from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, PathSum,
                           identity, interpret, ket, tensor, to_dict, to_json,
                           zero_op)
 from support import (apply_simple_transform, bits_to_index, circuits, column,
-                     dagger, eval_mask, gate_sem, identity_matrix,
-                     interpreted_path_sum_from_circuit, kron, matmul,
-                     path_sums, poly_of, random_path_sum,
-                     reference_path_sum_from_circuit)
+                     dagger, eval_mask, fold_renaming, fuzz_caps, fuzz_circuit,
+                     gate_sem, identity_matrix, kron, matmul, path_sums,
+                     poly_of, random_path_sum, reference_path_sum_from_circuit,
+                     spliced)
 
 x0, x1 = BoolPoly.var(0), BoolPoly.var(1)
 
@@ -436,38 +436,44 @@ class TestInterpretOnInput:
             == to_json(reference_interpret(c))
 
 
+FOLD_SIZES = [(3, 6)] * 2000 + [(1, 1), (2, 12), (5, 20), (8, 40)] * 100
+
+
 class TestFoldGenerator:
     def test_output_is_pinned(self):
-        # the confluence fuzz folds its sums from interpret's gate loop
-        # and compose's mediators, then caps them with compose, ket and
-        # bra; their output is pinned so the fuzz keeps the same redexes
+        # the confluence fuzz interprets h;h-spliced circuits, then caps
+        # them with compose, ket and bra; their output is pinned so the
+        # fuzz keeps the same redexes
         digest = hashlib.sha256()
         for seed in range(1000):
             a = random_path_sum_from_circuit(random.Random(seed))
             digest.update(to_json(a).encode() + b"\n")
         assert digest.hexdigest() == (
-            "6101825aa4ffff25c81ae87af2e838d9542ac9010dc18e2fd5728f6f76fedf17")
-
-    def test_matches_compose_fold(self):
-        # the mask-set fold against the compose fold it replaces, on the
-        # default sizes and on wider and deeper circuits; both must also
-        # leave the caller's generator in the same state
-        sizes = [(3, 6)] * 2000 + [(1, 1), (2, 12), (5, 20), (8, 40)] * 100
-        for seed, (qubits, gates) in enumerate(sizes):
-            rng, ref_rng = random.Random(seed), random.Random(seed)
-            a = random_path_sum_from_circuit(rng, qubits, gates)
-            assert a == reference_path_sum_from_circuit(ref_rng, qubits, gates), seed
-            assert rng.getstate() == ref_rng.getstate()
+            "166d7a18456d39dab50244eec52e81e70e387865937bc939ca4a7ae18ea11cd6")
 
     def test_is_an_interpretation(self):
-        # the fold against one interpret of the circuit with h;h on every
-        # wire between its gates, renamed: a reference that does not go
-        # through compose, on the same sizes and generator states
-        sizes = [(3, 6)] * 2000 + [(1, 1), (2, 12), (5, 20), (8, 40)] * 100
-        for seed, (qubits, gates) in enumerate(sizes):
+        # the fuzz sum is one interpret of the circuit with h;h on every
+        # wire between its gates, capped, rebuilt here from the same draws,
+        # on the default sizes and on wider and deeper circuits; both must
+        # leave the caller's generator in the same state
+        for seed, (qubits, gates) in enumerate(FOLD_SIZES):
             rng, ref_rng = random.Random(seed), random.Random(seed)
             a = random_path_sum_from_circuit(rng, qubits, gates)
-            assert a == interpreted_path_sum_from_circuit(
+            circ = fuzz_circuit(ref_rng, qubits, gates)
+            assert a == fuzz_caps(ref_rng, interpret(spliced(circ)),
+                                  circ.num_qubits), seed
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_matches_compose_fold(self):
+        # renamed, the fuzz sum is the compose fold of the circuit's
+        # one-gate interpretations, capped alike: it keeps the fold's
+        # redexes, on the same sizes and generator states
+        for seed, (qubits, gates) in enumerate(FOLD_SIZES):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            a = random_path_sum_from_circuit(rng, qubits, gates)
+            circ = fuzz_circuit(random.Random(seed), qubits, gates)
+            renamed = apply_simple_transform(a, fold_renaming(circ, a.num_vars))
+            assert renamed == reference_path_sum_from_circuit(
                 ref_rng, qubits, gates), seed
             assert rng.getstate() == ref_rng.getstate()
 
