@@ -38,6 +38,14 @@ class CircuitParseError(ValueError):
         self.column = column
 
 
+def _check_ints(values, what: str) -> None:
+    """Refuse a value whose type is not exactly int: a float or a bool
+    passes every range check, and serializes to text ``parse`` refuses."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} {v!r} is not an int")
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -57,6 +65,7 @@ class Gate:
             raise ValueError(f"swap takes two qubits, got {arity}")
         if kind == CMZ and arity < 1:
             raise ValueError("z takes at least one qubit")
+        _check_ints(qubits, "qubit index")
         if len(set(qubits)) != arity:
             raise ValueError(f"repeated qubit in {kind} {qubits}")
         if min(qubits) < 0:  # every kind has at least one qubit by now
@@ -65,11 +74,20 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on qubits 0 to num_qubits - 1; the constructor checks that.
+
+    ``parse``, the generators, ``sim._light_cone`` and ``fuzz`` build
+    with ``_circuit`` (and ``_gate``) instead, which check nothing: their
+    gates pass the checks by construction (lookups, ``range(num_qubits)``,
+    or gates of a circuit already built).
+    """
+
     num_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        _check_ints((self.num_qubits,), "qubit count")
         if self.num_qubits < 0:
             raise ValueError("negative qubit count")
         for g in self.gates:
@@ -81,32 +99,62 @@ class Circuit:
                     )
 
 
+# object.__setattr__ as a frozen dataclass's own __init__ sets fields:
+# touching an instance's __dict__ would give each gate a dict of its own
+
+def _gate(kind: str, qubits: tuple[int, ...]) -> Gate:
+    """``Gate(kind, qubits)`` without its checks, for values that pass them."""
+    gate = object.__new__(Gate)
+    object.__setattr__(gate, "kind", kind)
+    object.__setattr__(gate, "qubits", qubits)
+    return gate
+
+
+def _circuit(num_qubits: int, gates) -> Circuit:
+    """``Circuit(num_qubits, gates)`` without its checks, for valid gates
+    on qubits below ``num_qubits``."""
+    circuit = object.__new__(Circuit)
+    object.__setattr__(circuit, "num_qubits", num_qubits)
+    object.__setattr__(circuit, "gates", tuple(gates))
+    return circuit
+
+
 # ---------------------------------------------------------------------------
 # text format
 
 #: mnemonics that parse as C^(m)Z, with the qubit count each takes
 _ALIASES = {"cz": 2, "ccz": 3}
 
+#: the gate kind of each lower-case mnemonic, by the line's token count:
+#: the lines ``parse`` reads by lookup, when their qubits are canonical
+_MNEMONICS = {("h", 2): H, ("x", 2): X, ("swap", 3): SWAP,
+              ("z", 2): CMZ, ("z", 3): CMZ, ("z", 4): CMZ,  # at most CCZ
+              ("cz", 3): CMZ, ("ccz", 4): CMZ}
+
 
 def parse(text: str) -> Circuit:
     """Parse the circuit text format; raises CircuitParseError on any input.
 
     An error names the line and the column of the line's first token
-    (of the bad token, for a non-integer); columns are found only then.
-    A gate line that repeats an earlier one, character for character, is
-    parsed once: the repeat shares the first one's (frozen) ``Gate``.
-    An integer is an optional '-' and ASCII digits (``_integer``).
+    (of the bad token, for a non-integer).  A gate line that repeats an
+    earlier one, character for character, is parsed once: the repeat
+    shares the first one's (frozen) ``Gate``.
+    An integer is an optional '-' and ASCII digits (``_integer``).  A
+    leading byte-order mark is skipped, as the CLI's reading drops it.
+
+    A line whose mnemonic and token count are in ``_MNEMONICS`` and whose
+    qubits are distinct and written "0" to "N-1" passes every check by
+    those lookups, so its ``Gate`` is built unchecked; any other line
+    takes the checks one by one, and its qubits are range-checked here.
     """
     if not isinstance(text, str):
         raise CircuitParseError("input is not text", 1)
-    # int reads every token _integer does, and also '+1', '1_0' and
-    # non-ASCII digits; a text without '+', '_' and non-ASCII characters
-    # holds none of those, so int alone reads it, a call per token cheaper
-    read = (int if text.isascii() and "+" not in text and "_" not in text
-            else _integer)
+    if text[:1] == "\ufeff":
+        text = text[1:]
     if "\r" in text:  # end lines where open()'s universal newlines do
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     num_qubits: Optional[int] = None
+    index: dict[str, int] = {}  # after the header, "0" to "N-1", by token
     gates: list[Gate] = []
     parsed: dict[str, Gate] = {}  # gate lines that validated, by their text
     try:
@@ -118,18 +166,30 @@ def parse(text: str) -> Circuit:
             tokens = raw.split("#", 1)[0].split()
             if not tokens:
                 continue
+            kind = _MNEMONICS.get((tokens[0], len(tokens)))
+            if kind is not None:
+                try:
+                    qubits = tuple([index[t] for t in tokens[1:]])
+                except KeyError:  # not a qubit as serialize writes it
+                    qubits = ()
+                if len(set(qubits)) == len(tokens) - 1:
+                    gate = _gate(kind, qubits)
+                    gates.append(gate)
+                    parsed[raw] = gate
+                    continue
             head = tokens[0].lower()
             if num_qubits is None:
                 if head != "qubits":
                     raise _LineError("expected 'qubits N' header")
                 if len(tokens) != 2:
                     raise _LineError("'qubits' takes one count")
-                num_qubits = _ints(tokens, read, lineno, raw)[0]
+                num_qubits = _ints(tokens, lineno, raw)[0]
                 if num_qubits < 0:
                     raise _LineError("negative qubit count")
                 if num_qubits > MAX_QUBITS:
                     raise _LineError(f"{num_qubits} qubits exceed the maximum "
                                      f"of {MAX_QUBITS}")
+                index = {str(q): q for q in range(num_qubits)}
                 continue
             if head in _ALIASES:
                 want = _ALIASES[head]
@@ -139,7 +199,7 @@ def parse(text: str) -> Circuit:
                 head = CMZ
             elif head not in _KINDS:
                 raise _LineError(f"unknown gate mnemonic {head!r}")
-            qubits = _ints(tokens, read, lineno, raw)
+            qubits = _ints(tokens, lineno, raw)
             if head == CMZ and len(qubits) > DEFAULT_MAX_CONTROLS + 1:
                 raise _LineError(f"z on {len(qubits)} qubits exceeds the "
                                  f"maximum of {DEFAULT_MAX_CONTROLS} controls")
@@ -157,7 +217,7 @@ def parse(text: str) -> Circuit:
                                 raw.index(tokens[0]) + 1) from None
     if num_qubits is None:
         raise CircuitParseError("empty input: missing 'qubits N' header", 1)
-    return Circuit(num_qubits, tuple(gates))
+    return _circuit(num_qubits, gates)
 
 
 class _LineError(Exception):
@@ -177,22 +237,20 @@ def _integer(token: str) -> int:
     raise ValueError(f"expected an integer, got {token!r}")
 
 
-def _ints(tokens: list[str], read, lineno: int, raw: str) -> tuple[int, ...]:
-    """The line's tokens after its first as integers, each read by
-    ``read`` (``int`` or ``_integer``); the first one ``_integer`` refuses
-    is the error, at its own column in the line ``raw``."""
-    try:
-        return tuple(map(read, tokens[1:]))
-    except ValueError:
-        end = raw.index(tokens[0]) + len(tokens[0])
-        for token in tokens[1:]:
-            start = raw.index(token, end)  # only blanks lie in between
-            end = start + len(token)
-            try:
-                _integer(token)
-            except ValueError as exc:
-                raise CircuitParseError(str(exc), lineno, start + 1) from None
-        raise
+def _ints(tokens: list[str], lineno: int, raw: str) -> tuple[int, ...]:
+    """The line's tokens after its first as integers (``_integer``); the
+    first one that is not is the error, at its own column in the line
+    ``raw``."""
+    end = raw.index(tokens[0]) + len(tokens[0])
+    values = []
+    for token in tokens[1:]:
+        start = raw.index(token, end)  # only blanks lie in between
+        end = start + len(token)
+        try:
+            values.append(_integer(token))
+        except ValueError as exc:
+            raise CircuitParseError(str(exc), lineno, start + 1) from None
+    return tuple(values)
 
 
 def serialize(circuit: Circuit) -> str:
@@ -208,6 +266,7 @@ def serialize(circuit: Circuit) -> str:
 def random_circuit(num_qubits: int, depth: int, max_controls: int = DEFAULT_MAX_CONTROLS,
                    seed: int = 0) -> Circuit:
     """Uniform random gates on random distinct qubits; reproducible by seed."""
+    _check_ints((num_qubits,), "qubit count")
     if num_qubits < 1:
         raise ValueError("need at least one qubit")
     if max_controls + 1 > num_qubits:
@@ -220,9 +279,8 @@ def random_circuit(num_qubits: int, depth: int, max_controls: int = DEFAULT_MAX_
     gates = []
     for _ in range(depth):
         kind, arity = rng.choice(pool)
-        qubits = tuple(rng.sample(range(num_qubits), arity))
-        gates.append(Gate(kind, qubits))
-    return Circuit(num_qubits, tuple(gates))
+        gates.append(_gate(kind, tuple(rng.sample(range(num_qubits), arity))))
+    return _circuit(num_qubits, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +307,7 @@ class HiddenShiftSpec:
         object.__setattr__(self, "shift", tuple(self.shift))
         if self.pi is not None:
             object.__setattr__(self, "pi", tuple(self.pi))
+        _check_ints((self.n,), "qubit count")
         if self.n < 2 or self.n % 2:
             raise ValueError("qubit count must be even and at least 2")
         if self.n > MAX_QUBITS:  # parse would refuse the circuit
@@ -257,14 +316,17 @@ class HiddenShiftSpec:
         if len(self.shift) != self.n or any(b not in (0, 1) for b in self.shift):
             raise ValueError(f"shift must be a bit vector of length {self.n}")
         for mono in self.g_monomials:
+            _check_ints(mono, "monomial index")
             if not 1 <= len(mono) <= 3:
                 raise ValueError(f"monomial {mono} must have 1..3 indices")
             if len(set(mono)) != len(mono):
                 raise ValueError(f"monomial {mono} has repeated indices")
             if any(not 0 <= a < half for a in mono):
                 raise ValueError(f"monomial {mono} out of range 0..{half - 1}")
-        if self.pi is not None and sorted(self.pi) != list(range(half)):
-            raise ValueError(f"pi must be a permutation of 0..{half - 1}")
+        if self.pi is not None:
+            _check_ints(self.pi, "pi index")
+            if sorted(self.pi) != list(range(half)):
+                raise ValueError(f"pi must be a permutation of 0..{half - 1}")
 
     def permutation(self) -> tuple[int, ...]:
         return self.pi if self.pi is not None else tuple(range(self.n // 2))
@@ -289,23 +351,23 @@ def hidden_shift_circuit(spec: HiddenShiftSpec) -> Circuit:
     gates: list[Gate] = []
 
     def h_layer():
-        gates.extend(Gate(H, (q,)) for q in range(n))
+        gates.extend(_gate(H, (q,)) for q in range(n))
 
     def shift_layer():
-        gates.extend(Gate(X, (q,)) for q in range(n) if spec.shift[q])
+        gates.extend(_gate(X, (q,)) for q in range(n) if spec.shift[q])
 
     def coupling_layer():
-        gates.extend(Gate(CMZ, (i, half + pi[i])) for i in range(half))
+        gates.extend(_gate(CMZ, (i, half + pi[i])) for i in range(half))
 
     h_layer()
     shift_layer()
     coupling_layer()
     for mono in gmonos:  # g on the second half
-        gates.append(Gate(CMZ, tuple(half + a for a in mono)))
+        gates.append(_gate(CMZ, tuple(half + a for a in mono)))
     shift_layer()
     h_layer()
     coupling_layer()
     for mono in gmonos:  # dual's g on the first half, through pi^-1
-        gates.append(Gate(CMZ, tuple(sorted(pi_inv[a] for a in mono))))
+        gates.append(_gate(CMZ, tuple(sorted(pi_inv[a] for a in mono))))
     h_layer()
-    return Circuit(n, tuple(gates))
+    return _circuit(n, gates)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .circuit import H, Circuit, Gate, random_circuit
+from .circuit import H, Gate, _circuit, random_circuit
 from .sums import PathSum, bra, compose, interpret, ket
 
 
@@ -35,7 +35,7 @@ def random_path_sum_from_circuit(rng: random.Random, max_qubits: int = 3,
         if gates:
             gates += splice
         gates.append(gate)
-    s = interpret(Circuit(n, gates))
+    s = interpret(_circuit(n, gates))
     if rng.randrange(2):
         s = compose(s, ket(tuple(rng.randrange(2) for _ in range(n))))
     if rng.randrange(2):

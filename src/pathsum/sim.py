@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolpoly import BoolPoly, mask_renamed
-from .circuit import CMZ, H, SWAP, X, Circuit
+from .circuit import CMZ, H, SWAP, X, Circuit, _circuit
 from .exact import Amplitude
 from .rewrite import DETERMINISTIC_FIRST, _run, normalize, reduce
 from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, as_bits, bra,
@@ -194,8 +194,8 @@ def _light_cone(circuit: Circuit, qubit: int) -> Circuit:
         elif kind == H:
             state[qs[0]] = 2
         kept.append(gate)
-    kept.reverse()
-    return Circuit(circuit.num_qubits, kept)
+    kept.reverse()  # a subsequence of a valid circuit's gates
+    return _circuit(circuit.num_qubits, kept)
 
 
 def strong_sim(circuit: Circuit, in_bits, out_bits,

@@ -4,13 +4,19 @@ None of this is in the package: dense matrix algebra for the
 homomorphism laws, each gate's defining sum, variable renamings, point
 evaluation of polynomials, the affine step's detector as a second scan,
 the confluence fuzz sum as a compose fold and the renaming into it,
-and random sums, circuits and instances.
+the circuit parser that checks every line one check at a time, and
+random sums, circuits, circuit texts and instances.
 """
+
+from typing import Optional
 
 from hypothesis import strategies as st
 
 from pathsum.boolpoly import BoolPoly
-from pathsum.circuit import Circuit, Gate, HiddenShiftSpec, random_circuit
+from pathsum.circuit import (_ALIASES, _KINDS, CMZ, DEFAULT_MAX_CONTROLS,
+                             MAX_QUBITS, Circuit, CircuitParseError, Gate,
+                             HiddenShiftSpec, _integer, _LineError,
+                             random_circuit, serialize)
 from pathsum.exact import Amplitude
 from pathsum.rewrite import _rule_at
 from pathsum.sums import PathSum, bra, compose, interpret, ket
@@ -211,6 +217,112 @@ def fold_renaming(circ, num_vars):
     return phi
 
 
+def reference_parse(text: str) -> Circuit:
+    """``parse`` as it was before it read lines by lookup: every line
+    takes each check in turn, and the circuit is built checked.  It does
+    not skip a byte-order mark."""
+    if not isinstance(text, str):
+        raise CircuitParseError("input is not text", 1)
+    # int reads every token _integer does, and also '+1', '1_0' and
+    # non-ASCII digits; a text without '+', '_' and non-ASCII characters
+    # holds none of those, so int alone reads it, a call per token cheaper
+    read = (int if text.isascii() and "+" not in text and "_" not in text
+            else _integer)
+    if "\r" in text:  # end lines where open()'s universal newlines do
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    num_qubits: Optional[int] = None
+    gates: list[Gate] = []
+    parsed: dict[str, Gate] = {}  # gate lines that validated, by their text
+    try:
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            gate = parsed.get(raw)
+            if gate is not None:
+                gates.append(gate)
+                continue
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            head = tokens[0].lower()
+            if num_qubits is None:
+                if head != "qubits":
+                    raise _LineError("expected 'qubits N' header")
+                if len(tokens) != 2:
+                    raise _LineError("'qubits' takes one count")
+                num_qubits = _reference_ints(tokens, read, lineno, raw)[0]
+                if num_qubits < 0:
+                    raise _LineError("negative qubit count")
+                if num_qubits > MAX_QUBITS:
+                    raise _LineError(f"{num_qubits} qubits exceed the maximum "
+                                     f"of {MAX_QUBITS}")
+                continue
+            if head in _ALIASES:
+                want = _ALIASES[head]
+                if len(tokens) - 1 != want:
+                    raise _LineError(
+                        f"{head} takes {want} qubits, got {len(tokens) - 1}")
+                head = CMZ
+            elif head not in _KINDS:
+                raise _LineError(f"unknown gate mnemonic {head!r}")
+            qubits = _reference_ints(tokens, read, lineno, raw)
+            if head == CMZ and len(qubits) > DEFAULT_MAX_CONTROLS + 1:
+                raise _LineError(f"z on {len(qubits)} qubits exceeds the "
+                                 f"maximum of {DEFAULT_MAX_CONTROLS} controls")
+            try:
+                gate = Gate(head, qubits)
+            except ValueError as exc:
+                raise _LineError(str(exc)) from None
+            if max(qubits) >= num_qubits:  # a Gate has at least one qubit
+                q = next(q for q in qubits if q >= num_qubits)
+                raise _LineError(f"qubit {q} out of range for {num_qubits} qubits")
+            gates.append(gate)
+            parsed[raw] = gate
+    except _LineError as exc:
+        raise CircuitParseError(str(exc), lineno,
+                                raw.index(tokens[0]) + 1) from None
+    if num_qubits is None:
+        raise CircuitParseError("empty input: missing 'qubits N' header", 1)
+    return Circuit(num_qubits, tuple(gates))
+
+
+def _reference_ints(tokens, read, lineno, raw):
+    """The line's tokens after its first as integers, each read by
+    ``read`` (``int`` or ``_integer``); the first one ``_integer`` refuses
+    is the error, at its own column in the line ``raw``."""
+    try:
+        return tuple(map(read, tokens[1:]))
+    except ValueError:
+        end = raw.index(tokens[0]) + len(tokens[0])
+        for token in tokens[1:]:
+            start = raw.index(token, end)  # only blanks lie in between
+            end = start + len(token)
+            try:
+                _integer(token)
+            except ValueError as exc:
+                raise CircuitParseError(str(exc), lineno, start + 1) from None
+        raise
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of text: its circuit, or its error's message
+    (which holds the line and column) and the line and column fields."""
+    try:
+        return parse(text)
+    except CircuitParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def assert_checked_build(circuit):
+    """The circuit equals its rebuild through the checking constructors,
+    and its count and each gate's qubits are ints, in tuples."""
+    rebuilt = Circuit(circuit.num_qubits,
+                      [Gate(g.kind, g.qubits) for g in circuit.gates])
+    assert rebuilt == circuit
+    assert type(circuit.num_qubits) is int and type(circuit.gates) is tuple
+    for g in circuit.gates:
+        assert type(g.qubits) is tuple
+        assert all(type(q) is int for q in g.qubits), g
+
+
 def random_hidden_shift_spec(n, rng):
     """Random instance parameters: shift, up to 4 small monomials of g,
     and a random coordinate permutation half of the time."""
@@ -312,3 +424,54 @@ def circuits(draw, max_qubits=6, max_gates=20):
         st.integers(0, n - 1), min_size=ka[1], max_size=ka[1], unique=True
     ).map(lambda qs: Gate(ka[0], tuple(qs))))
     return Circuit(n, tuple(draw(st.lists(gate, max_size=max_gates))))
+
+
+#: one token's respellings: zero-padded, signed, '_'-grouped, a non-ASCII
+#: digit (Arabic-Indic one, fullwidth one) and a bare '-'
+_RESPELLINGS = ("007", "-0", "+1", "1_0", "-1", "\u0661", "\uff11", "-")
+
+
+@st.composite
+def circuit_texts(draw):
+    """Serialized circuits with up to five lines edited: a mnemonic in
+    upper case or as a cz/ccz alias, a qubit respelled, out of range or
+    repeated, a z on four qubits, a comment, tabs, a token dropped or
+    added, a line repeated; the lines end in \\n or \\r\\n."""
+    circuit = draw(circuits(max_qubits=5, max_gates=8))
+    n = circuit.num_qubits
+    lines = serialize(circuit).split("\n")
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split() or ["h", "0"]
+        j = draw(st.integers(1, len(tokens) - 1)) if len(tokens) > 1 else 0
+        edit = draw(st.sampled_from(
+            ("upper", "alias", "respell", "range", "repeat", "z4",
+             "comment", "tabs", "drop", "add", "copy")))
+        if edit == "upper":
+            tokens[0] = draw(st.sampled_from(
+                (tokens[0].upper(), tokens[0].capitalize())))
+        elif edit == "alias":
+            tokens[0] = draw(st.sampled_from(("cz", "ccz", "CZ", "Ccz")))
+        elif edit == "respell" and j:
+            tokens[j] = draw(st.sampled_from(
+                _RESPELLINGS + ("0" + tokens[j], "+" + tokens[j],
+                                "-" + tokens[j])))
+        elif edit == "range" and j:
+            tokens[j] = str(n + draw(st.integers(0, 2)))
+        elif edit == "repeat" and len(tokens) > 2:
+            tokens[j] = tokens[1 + (j % (len(tokens) - 1))]
+        elif edit == "z4":
+            tokens = ["z", "0", "1", "2", "3"]
+        elif edit == "drop" and len(tokens) > 1:
+            del tokens[j]
+        elif edit == "add":
+            tokens.append(str(draw(st.integers(0, n))))
+        elif edit == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            continue
+        sep = "\t" if edit == "tabs" else " "
+        lines[i] = sep.join(tokens)
+        if edit == "comment":
+            lines[i] = draw(st.sampled_from(
+                (lines[i] + " # a note", "# " + lines[i], lines[i] + "#")))
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines)

@@ -6,11 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from pathsum import fuzz
 from pathsum.circuit import (MAX_QUBITS, Circuit, CircuitParseError, Gate,
                              HiddenShiftSpec, hidden_shift_circuit, parse,
                              random_circuit, serialize)
 from pathsum.oracle import statevector_oracle
-from support import bits_to_index, circuits, random_hidden_shift_spec
+from pathsum.sim import _light_cone
+from support import (assert_checked_build, bits_to_index, circuit_texts,
+                     circuits, parse_outcome, random_hidden_shift_spec,
+                     reference_parse)
 
 
 class TestGate:
@@ -29,6 +33,17 @@ class TestGate:
     def test_circuit_range_check(self):
         with pytest.raises(ValueError, match="touches qubit 2"):
             Circuit(2, (Gate("h", (2,)),))
+
+    @pytest.mark.parametrize("qubits", [(1.0,), (True,), (0, 1.0), (0, False)])
+    def test_indices_are_ints(self, qubits):
+        # 1.0 or True would pass every range check and serialize as
+        # 'h 1.0' or 'h True', which parse refuses
+        with pytest.raises(ValueError, match="qubit index .* is not an int"):
+            Gate("z", qubits)
+
+    def test_count_is_an_int(self):
+        with pytest.raises(ValueError, match="qubit count 2.0 is not an int"):
+            Circuit(2.0, ())
 
 
 class TestParse:
@@ -61,6 +76,16 @@ class TestParse:
         assert parse("qubits 2\r\nh 0\r\n\r\nh 1\r\n") == want
         assert parse("qubits 2\rh 0\r\rh 1\r") == want
         assert parse("qubits 2\r\nh 0\r\rh 1\n") == want
+
+    def test_byte_order_mark_is_skipped(self):
+        # one leading U+FEFF, as the CLI's utf-8-sig reading drops it
+        assert parse("\ufeffqubits 1\nh 0\n") == parse("qubits 1\nh 0\n")
+        with pytest.raises(CircuitParseError) as err:
+            parse("\ufeffqubits 2\n  h 2\n")
+        assert str(err.value) == "line 2, column 3: qubit 2 out of range for 2 qubits"
+        with pytest.raises(CircuitParseError) as err:  # a second is text
+            parse("\ufeff\ufeffqubits 1\n")
+        assert str(err.value) == "line 1, column 1: expected 'qubits N' header"
 
     def test_repeated_qubit(self):
         with pytest.raises(CircuitParseError, match="repeated qubit"):
@@ -216,6 +241,98 @@ class TestParse:
         assert g[3] == g[4] == g[0] and g[6] == g[1]
 
 
+class TestParseAgainstReference:
+    """``parse`` reads a canonical line by lookup and every other line
+    with each check in turn; the reference takes every check on every
+    line.  Both give an equal circuit or the same error."""
+
+    @staticmethod
+    def agree(text):
+        got = parse_outcome(parse, text)
+        assert got == parse_outcome(reference_parse, text), text
+        assert parse_outcome(parse, "\ufeff" + text) == got
+        if isinstance(got, Circuit):
+            assert_checked_build(got)
+
+    @settings(max_examples=400, deadline=None)
+    @given(circuit_texts())
+    def test_mutated_serializations(self, text):
+        self.agree(text)
+
+    @pytest.mark.parametrize("text", [
+        "qubits 3\nH 0\nCz 0 1\nCCZ 0 1 2\nSWAP 1 2\nX 2\nZ 1\n",
+        "qubits 3\ncz 0 1\nccz 2 0 1\ncz 0 1 2\nccz 0 1\n",
+        "qubits 8\nh 007\nz -0 1\nx 1\n",
+        "qubits 3\nx +1\n",
+        "qubits 12\nh 1_0\n",
+        "qubits 3\nh 3\n",
+        "qubits 3\nswap 0 0\n",
+        "qubits 3\nccz 0 1 0\n",
+        "qubits 3\nz 0 -1\n",
+        "qubits 3\n\tz\t0\t1 # CZ\r\nh 2\r\n# done\r\n",
+        "qubits 4\nz 0 1 2 3\n",
+        "qubits 3\nh \u0661\n",
+        "qubits 3\nh 1\nh\n",
+        "qubits 3\nh 0 1\n",
+        "qubits 007\nh 6\n",
+        "QUBITS 2\nh 1\nh 1\n",
+        "qubits 0\nh 0\n",
+        "h 0\nqubits 1\n",
+        "qubits 2\nqubits 2\n",
+        "qubits 2\nh 0#\nh 0 #\nh  0\nh 0\n",
+    ])
+    def test_fixed_cases(self, text):
+        self.agree(text)
+
+
+class TestUncheckedBuilders:
+    """The builders that skip the constructors' checks build what the
+    constructors accept, with int qubits in tuples."""
+
+    def test_parse_benchmark_style_files(self):
+        rng = random.Random(3)
+        texts = [serialize(random_circuit(n, depth, seed=seed))
+                 for n, depth, seeds in ((12, 200, (101, 102)), (16, 300, (9,)))
+                 for seed in seeds]
+        texts += [serialize(hidden_shift_circuit(random_hidden_shift_spec(n, rng)))
+                  for n in (32, 16)]
+        for text in texts:
+            assert_checked_build(parse(text))
+
+    def test_light_cone(self):
+        for n, depth, seed in ((12, 200, 101), (16, 300, 9), (3, 20, 4)):
+            c = random_circuit(n, depth, seed=seed)
+            for q in range(n):
+                assert_checked_build(_light_cone(c, q))
+
+    def test_random_circuit(self):
+        for seed in range(30):
+            n = 1 + seed % 6
+            assert_checked_build(random_circuit(n, 40, max_controls=min(2, n - 1),
+                                                seed=seed))
+
+    def test_hidden_shift_circuit(self):
+        rng = random.Random(8)
+        for n in (2, 4, 6, 10, 16, 32):
+            assert_checked_build(hidden_shift_circuit(random_hidden_shift_spec(n, rng)))
+
+    def test_fuzz_circuit(self, monkeypatch):
+        built = []
+
+        def interpret(circuit):
+            built.append(circuit)
+            return real(circuit)
+
+        real = fuzz.interpret
+        monkeypatch.setattr(fuzz, "interpret", interpret)
+        rng = random.Random(5)
+        for _ in range(50):
+            fuzz.random_path_sum_from_circuit(rng, 4, 8)
+        assert len(built) == 50
+        for circuit in built:
+            assert_checked_build(circuit)
+
+
 class TestRandomCircuit:
     def test_reproducible(self):
         a = random_circuit(4, 30, seed=7)
@@ -233,6 +350,8 @@ class TestRandomCircuit:
             random_circuit(0, 5)
         with pytest.raises(ValueError):
             random_circuit(2, 5, max_controls=2)
+        with pytest.raises(ValueError, match="qubit count True is not an int"):
+            random_circuit(True, 5, max_controls=0)
 
 
 class TestHiddenShiftSpec:
@@ -252,6 +371,21 @@ class TestHiddenShiftSpec:
         HiddenShiftSpec(n=MAX_QUBITS, shift=(0,) * MAX_QUBITS)
         with pytest.raises(ValueError, match="4098 qubits exceed the maximum"):
             HiddenShiftSpec(n=MAX_QUBITS + 2, shift=(0,) * (MAX_QUBITS + 2))
+
+    def test_indices_are_ints(self):
+        # a float index would fail inside hidden_shift_circuit, and a bool
+        # would be written into the circuit as True
+        shift = (1, 0, 0, 1)
+        with pytest.raises(ValueError, match="pi index 1.0 is not an int"):
+            HiddenShiftSpec(n=4, shift=shift, pi=(1.0, 0))
+        with pytest.raises(ValueError, match="pi index True is not an int"):
+            HiddenShiftSpec(n=4, shift=shift, pi=(True, False))
+        with pytest.raises(ValueError, match="monomial index 1.0 is not an int"):
+            HiddenShiftSpec(n=4, shift=shift, g_monomials=frozenset({(0, 1.0)}))
+        with pytest.raises(ValueError, match="monomial index True is not an int"):
+            HiddenShiftSpec(n=4, shift=shift, g_monomials=frozenset({(True,)}))
+        with pytest.raises(ValueError, match="qubit count 4.0 is not an int"):
+            HiddenShiftSpec(n=4.0, shift=shift)
 
 
 class TestHiddenShiftCircuit:
