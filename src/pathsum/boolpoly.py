@@ -51,16 +51,6 @@ def mask_product(a: Iterable[int], b: Iterable[int]) -> set[int]:
     return acc
 
 
-def _toggle_fold(masks: Iterable[int]) -> frozenset[int]:
-    acc: set[int] = set()
-    for m in masks:
-        if m in acc:
-            acc.remove(m)
-        else:
-            acc.add(m)
-    return frozenset(acc)
-
-
 class BoolPoly:
     __slots__ = ("monomials", "vars_mask")
 
@@ -69,9 +59,9 @@ class BoolPoly:
 
     def __init__(self, monomials: Iterable[int] = ()):
         # a frozenset is already duplicate-free; anything else folds with
-        # cancellation so repeated masks behave as addition in GF(2)
+        # cancellation, as its product with 1, so repeated masks add in GF(2)
         if not isinstance(monomials, frozenset):
-            monomials = _toggle_fold(monomials)
+            monomials = frozenset(mask_product(monomials, (0,)))
         mask = 0
         for m in monomials:
             if m < 0:
@@ -163,24 +153,11 @@ class BoolPoly:
             raise ValueError("map is not injective on the variables present")
         acc: set[int] = set()
         for m in self.monomials:
-            fixed = 0
-            optional = []
+            image = {0}  # the product of m's factors x_w or x_w + 1
             for v in mask_bits(m):
                 w, neg = phi[v]
-                if neg:
-                    optional.append(1 << w)
-                else:
-                    fixed |= 1 << w
-            # expand the product of (x_w + 1) factors
-            for pick in range(1 << len(optional)):
-                nm = fixed
-                for j, wbit in enumerate(optional):
-                    if pick >> j & 1:
-                        nm |= wbit
-                if nm in acc:
-                    acc.remove(nm)
-                else:
-                    acc.add(nm)
+                image = mask_product(image, (1 << w, 0) if neg else (1 << w,))
+            acc ^= image
         return BoolPoly(frozenset(acc))
 
     def shifted(self, offset: int) -> "BoolPoly":

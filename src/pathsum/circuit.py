@@ -91,6 +91,8 @@ class Circuit:
         if self.num_qubits < 0:
             raise ValueError("negative qubit count")
         for g in self.gates:
+            if not isinstance(g, Gate):
+                raise ValueError(f"{g!r} is not a Gate")
             for q in g.qubits:
                 if q >= self.num_qubits:
                     raise ValueError(
@@ -269,6 +271,8 @@ def random_circuit(num_qubits: int, depth: int, max_controls: int = DEFAULT_MAX_
     _check_ints((num_qubits,), "qubit count")
     if num_qubits < 1:
         raise ValueError("need at least one qubit")
+    if num_qubits > MAX_QUBITS:  # parse would refuse the circuit
+        raise ValueError(f"{num_qubits} qubits exceed the maximum of {MAX_QUBITS}")
     if max_controls + 1 > num_qubits:
         raise ValueError("max_controls + 1 must not exceed the qubit count")
     rng = random.Random(seed)

@@ -17,10 +17,12 @@ import sys
 from . import fuzz
 from .circuit import (CircuitParseError, HiddenShiftSpec, _integer,
                       hidden_shift_circuit, parse, serialize)
-from .rewrite import DETERMINISTIC_FIRST, normalize, seeded_random, simply_equivalent
-from .sim import NonDeterministicOutcomeError, measure_sim, recover_shift, strong_sim
-# compose is not called here, but stays a module global: the benchmark's
-# tracer (perfbench/tracer.py) wraps every name it looks up in this module
+from .rewrite import (_EQUIVALENCE_CAP, DETERMINISTIC_FIRST, normalize,
+                      seeded_random, simply_equivalent)
+from .sim import (NonDeterministicOutcomeError, _value, measure_sim,
+                  recover_shift, strong_sim)
+# compose and evaluate are not called here, but stay module globals: the
+# benchmark's tracer (perfbench/tracer.py) wraps every name it looks up here
 from .sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, compose,  # noqa: F401
                    evaluate, interpret, to_dict)
 
@@ -50,10 +52,11 @@ def _nonnegative(text: str) -> int:
 
 
 def _equivalence_cap(text: str) -> int:
-    """A --max-vars value: a nonnegative integer of at most 8."""
+    """A --max-vars value: a nonnegative integer up to the largest cap."""
     value = _nonnegative(text)
-    if value > 8:
-        raise argparse.ArgumentTypeError(f"must be at most 8, got {value}")
+    if value > _EQUIVALENCE_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {_EQUIVALENCE_CAP}, got {value}")
     return value
 
 
@@ -198,11 +201,11 @@ def cmd_check_confluence(args) -> int:
         det, _ = normalize(a, DETERMINISTIC_FIRST)
         rnd, _ = normalize(a, seeded_random(rng.getrandbits(32)))
         if det.num_vars <= args.max_vars and rnd.num_vars <= args.max_vars:
-            ok = simply_equivalent(det, rnd, var_cap=args.max_vars)
-        else:
+            ok = simply_equivalent(det, rnd)
+        else:  # compared by value, each residual under the guard
             eval_fallbacks += 1
-            ok = (evaluate(det, args.max_eval_vars)
-                  == evaluate(rnd, args.max_eval_vars))
+            g = args.max_eval_vars
+            ok = _value(det, g)[0] == _value(rnd, g)[0]
         if ok:
             passes += 1
         else:
@@ -281,10 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fuzz sums to normalize both ways (default: 100); each "
                         "interprets a random circuit of at most 3 qubits and 6 "
                         "gates, with h;h spliced on every wire between its gates")
-    p.add_argument("--max-vars", type=_equivalence_cap, default=8, dest="max_vars",
+    p.add_argument("--max-vars", type=_equivalence_cap, default=_EQUIVALENCE_CAP,
+                   dest="max_vars",
                    help="variable cap of the simple-equivalence check (default "
-                        "and largest: 8); larger normal forms are compared by "
-                        "evaluation.  It does not size the fuzz sums")
+                        f"and largest: {_EQUIVALENCE_CAP}); larger normal forms "
+                        "are compared by evaluation.  It does not size the fuzz sums")
     p.add_argument("--seed", type=_int_option, default=0, help="fuzz seed (default: 0)")
     common(p, circuit=False)
     p.set_defaults(func=cmd_check_confluence)

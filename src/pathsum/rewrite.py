@@ -62,6 +62,9 @@ from .boolpoly import BoolPoly, mask_bits, mask_renamed
 from .exact import Amplitude
 from .sums import PathSum, zero_op
 
+#: ``simply_equivalent``'s default variable cap, and the CLI's largest
+_EQUIVALENCE_CAP = 8
+
 
 class Rule(enum.Enum):
     ELIM = "ELIM"
@@ -517,7 +520,7 @@ def _profiles(a: PathSum) -> list[tuple]:
     return profs
 
 
-def simply_equivalent(a: PathSum, b: PathSum, var_cap: int = 8) -> bool:
+def simply_equivalent(a: PathSum, b: PathSum, var_cap: int = _EQUIVALENCE_CAP) -> bool:
     """Decide whether some variable bijection-with-negations maps a to b.
 
     Backtracking over variable images, pruned by per-variable cofactor

@@ -7,10 +7,10 @@ Amplitude queries close it with <out| into the 0 -> 0 path sum
 light cone (``_light_cone``), the gates that do not commute with the
 conjugated projector, and closes the normalized state around the
 projector in one sandwich whose two copies share each wire that is a
-bare variable.  One pass takes a closed sum to its normal form and
-shrinks that by affine elimination (``reduce``); what is left is
-evaluated densely.  A guard refuses evaluation when the residual keeps
-too many variables, since dense evaluation is the only exponential step.
+bare variable.  ``_value`` turns every sum into numbers, the CLI's
+confluence fallback's too: one pass to the normal form and on through
+affine elimination (``reduce``), then dense evaluation of the residual
+under a guard, since that is the only exponential step.
 """
 
 from __future__ import annotations
@@ -113,16 +113,17 @@ def _sandwich_one(gn: PathSum, qubit: int) -> PathSum:
                    med + m + 1, BoolPoly(frozenset(phase)), (), ())
 
 
-def _closed_value(f: PathSum, max_eval_vars: int) -> tuple[Amplitude, int]:
-    """The value of a closed (0, 0) sum, and the rewrite steps taken.
+def _value(a: PathSum, max_eval_vars: int) -> tuple[list[list[Amplitude]], int]:
+    """The matrix of a sum of any signature, and the rewrite steps taken:
+    the one place a sum becomes numbers.
 
-    One pass of ``reduce``'s loop takes f to its normal form and on to
-    the residual, which dense evaluation sums under the guard.  The steps
-    are those ``normalize`` would take: the rewrites before the first
+    One pass of ``reduce``'s loop takes a to its normal form and on to
+    the residual, the sum that the guard bounds and ``evaluate`` sums.
+    The steps are those ``normalize`` would take, before the first
     affine step.
     """
-    residual, rewrites = _run(f, None, True)
-    return evaluate(residual, max_eval_vars)[0][0], len(rewrites)
+    residual, rewrites = _run(a, None, True)
+    return evaluate(residual, max_eval_vars), len(rewrites)
 
 
 _ZERO, _ONE = Amplitude(0), Amplitude(1)
@@ -135,7 +136,7 @@ def _probability_one(gn: PathSum, qubit: int,
     A state with no variables left is scalar*|b>, so the probability is
     the amplitude b_qubit * scalar^2: 0 or a power of 2, as the scalar is
     0 or a power of sqrt(2).  Otherwise the sandwich <gn|P|gn>
-    (``_sandwich_one``) gets its value from ``_closed_value``, under the
+    (``_sandwich_one``) gets its value from ``_value``, under the
     guard: at most 2k + n + 1 variables for k in gn, fewer for each wire
     that is a bare variable or a constant.
     """
@@ -143,7 +144,7 @@ def _probability_one(gn: PathSum, qubit: int,
         amp = gn.scalar * gn.scalar if gn.outputs[qubit].monomials else _ZERO
         steps = 0
     else:
-        amp, steps = _closed_value(_sandwich_one(gn, qubit), max_eval_vars)
+        [[amp]], steps = _value(_sandwich_one(gn, qubit), max_eval_vars)
     if amp.num < 0 or _ONE < amp:
         raise SimulationConsistencyError(
             f"probability {amp.render()} outside [0, 1]")
@@ -211,7 +212,8 @@ def strong_sim(circuit: Circuit, in_bits, out_bits,
     if len(x) != n or len(y) != n:
         raise ValueError(f"bit strings must have width {n}")
     f = compose(bra(y), interpret(circuit, x))
-    return _closed_value(f, max_eval_vars)[0]
+    [[amp]], _ = _value(f, max_eval_vars)
+    return amp
 
 
 def measure_sim(circuit: Circuit, in_bits, qubit: int,

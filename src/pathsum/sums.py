@@ -205,8 +205,8 @@ def evaluate(a: PathSum,
     O(terms * 2^r / 64) word operations, plus r * 2^r bits of tables
     (48 MiB at r = 24).  The guard bounds num_vars, and the wire count,
     which sizes the 2^outputs x 2^inputs table; a refusal names w, r and
-    the phase's degree and terms.  It bounds the sum as given: the
-    simulators pass the residual that ``rewrite.reduce`` leaves.
+    the phase's degree and terms.  It bounds the sum as given: its one
+    caller in the package, ``sim._value``, passes it a residual.
     """
     k = a.num_vars
     m, n = len(a.outputs), len(a.inputs)

@@ -34,6 +34,12 @@ class TestGate:
         with pytest.raises(ValueError, match="touches qubit 2"):
             Circuit(2, (Gate("h", (2,)),))
 
+    @pytest.mark.parametrize("gate", [("h", (0,)), "h 0", None])
+    def test_circuit_elements_are_gates(self, gate):
+        # the element itself is checked, not only the qubits it holds
+        with pytest.raises(ValueError, match="is not a Gate"):
+            Circuit(2, [gate])
+
     @pytest.mark.parametrize("qubits", [(1.0,), (True,), (0, 1.0), (0, False)])
     def test_indices_are_ints(self, qubits):
         # 1.0 or True would pass every range check and serialize as
@@ -352,6 +358,14 @@ class TestRandomCircuit:
             random_circuit(2, 5, max_controls=2)
         with pytest.raises(ValueError, match="qubit count True is not an int"):
             random_circuit(True, 5, max_controls=0)
+
+    def test_qubit_cap(self):
+        # parse refuses a header above MAX_QUBITS, so the generator does too
+        with pytest.raises(ValueError,
+                           match=f"{MAX_QUBITS + 1} qubits exceed the maximum"):
+            random_circuit(MAX_QUBITS + 1, 2)
+        c = random_circuit(MAX_QUBITS, 2, seed=3)
+        assert parse(serialize(c)) == c
 
 
 class TestHiddenShiftSpec:

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,8 +16,9 @@ import pathsum
 from pathsum.boolpoly import BoolPoly
 from pathsum.circuit import parse, random_circuit, serialize
 from pathsum.fuzz import random_path_sum_from_circuit
-from pathsum.rewrite import RewriteStep, Rule, apply
-from pathsum.sums import as_bits, interpret, to_dict
+from pathsum.rewrite import (RewriteStep, Rule, apply, normalize, reduce,
+                             seeded_random)
+from pathsum.sums import EvalGuardError, as_bits, evaluate, interpret, to_dict
 
 PYTHON = sys.executable
 #: the child imports the same package as the tests, installed or not
@@ -449,6 +451,30 @@ class TestCheckConfluence:
                 "--max-eval-vars", "2", "--seed", "1")
         assert r.returncode == 3
         assert "evaluation guard" in r.stderr and "Traceback" not in r.stderr
+
+    def test_fallback_refusal_names_the_residual(self):
+        # the fallback's guard bounds each normal form's residual after
+        # affine elimination, not the normal form; the first one refused
+        # is found by replaying the fuzz draws, and its message is the
+        # library's
+        r = run("check-confluence", "--trials", "50", "--max-vars", "0",
+                "--max-eval-vars", "2", "--seed", "20")
+        assert r.returncode == 3 and r.stdout == ""
+        rng = random.Random(20)
+        for _ in range(50):
+            a = random_path_sum_from_circuit(rng)
+            det, _ = normalize(a)
+            rnd, _ = normalize(a, seeded_random(rng.getrandbits(32)))
+            if max(det.num_vars, rnd.num_vars) == 0:
+                continue  # compared by simple equivalence
+            try:
+                evaluate(reduce(det), 2)
+                evaluate(reduce(rnd), 2)
+            except EvalGuardError as exc:
+                assert r.stderr == f"error: {exc}\n"
+                break
+        else:
+            pytest.fail("no residual exceeds the guard")
 
     def test_guard_env_var_and_help(self):
         # only --max-eval-vars sets the guard: the environment variable is

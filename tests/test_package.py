@@ -27,9 +27,10 @@ PUBLIC = [
 
 #: names deleted from the package or moved to tests/support.py, by the
 #: module or class that held them
-GONE = {"circuit": "Volume volume random_hidden_shift_spec", "sim": "Probability",
+GONE = {"circuit": "Volume volume random_hidden_shift_spec",
+        "sim": "Probability _closed_value",
         "sums": "apply_simple_transform gate_sem Matrix _fold_gates",
-        "exact": "Scalar", "boolpoly": "_assigned_mask",
+        "exact": "Scalar", "boolpoly": "_assigned_mask _toggle_fold",
         "fuzz": "random_path_sum _random_poly _fold_gates _mediate",
         "rewrite": "trace_lines", "cli": "ENV_MAX_EVAL_VARS _default_max_eval_vars"}
 GONE_METHODS = {BoolPoly: "of eval_at eval_mask vars", Amplitude: "from_count",

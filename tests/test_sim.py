@@ -12,10 +12,11 @@ from pathsum.circuit import (Circuit, Gate, HiddenShiftSpec,
                              hidden_shift_circuit, random_circuit)
 from pathsum.boolpoly import BoolPoly, mask_bits
 from pathsum.exact import Amplitude
+from pathsum.fuzz import random_path_sum_from_circuit
 from pathsum.oracle import marginal_one, statevector_oracle
 from pathsum.rewrite import find_rewrites, normalize, reduce, simply_equivalent
-from pathsum.sim import (NonDeterministicOutcomeError, _closed_value,
-                         _light_cone, _probability_one, _sandwich_one,
+from pathsum.sim import (NonDeterministicOutcomeError, _light_cone,
+                         _probability_one, _sandwich_one, _value,
                          measure_sim, projector_one, recover_shift,
                          strong_sim)
 from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, PathSum,
@@ -27,8 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import (EVAL_PIN, GUARD_PIN, POOL12,  # noqa: E402
                                  POOL16)
 from support import (bits_to_index, circuits, eval_mask,  # noqa: E402
-                     nonlinear_shift_circuit, random_hidden_shift_spec,
-                     random_network)
+                     nonlinear_shift_circuit, path_sums,
+                     random_hidden_shift_spec, random_network)
 
 
 class TestStrongSim:
@@ -223,7 +224,7 @@ class TestSandwichOne:
                 values = []
                 for f in (_sandwich_one(gn, q), reference_sandwich(gn, q)):
                     try:
-                        values.append(_closed_value(f, 22)[0])
+                        values.append(_value(f, 22)[0])
                     except EvalGuardError:  # 4 residuals of 25 variables
                         values.append(None)
                 new, ref = values
@@ -398,7 +399,7 @@ class TestLightCone:
 
 
 def assert_one_pass(f, guard):
-    """``_closed_value``'s one pass against the two passes it replaces,
+    """``_value``'s one pass against the two passes it replaces,
     ``evaluate(reduce(normalize(f)[0]))``: the same step count (the
     normal form's trace), the same value or the same refusal, and the
     same residual.  Returns whether the guard refused."""
@@ -406,13 +407,13 @@ def assert_one_pass(f, guard):
     residual = reduce(nf)
     assert to_json(reduce(f)) == to_json(residual)
     try:
-        want = evaluate(residual, guard)[0][0]
+        want = evaluate(residual, guard)
     except EvalGuardError as err:
         with pytest.raises(EvalGuardError) as got:
-            _closed_value(f, guard)
+            _value(f, guard)
         assert str(got.value) == str(err)
         return True
-    assert _closed_value(f, guard) == (want, len(trace))
+    assert _value(f, guard) == (want, len(trace))
     return False
 
 
@@ -443,6 +444,49 @@ class TestClosedValueInOnePass:
                 refused += assert_one_pass(f, 8)
                 affine += reduce(f).num_vars < normalize(f)[0].num_vars
         assert refused >= 10 and affine >= 12, (refused, affine)  # 14, 16
+
+
+def value_outcome(a, guard):
+    """``_value`` against ``evaluate`` on the sum as given.  Where
+    ``evaluate`` answers, ``_value`` returns the same rows and the steps
+    of ``normalize``; it refuses only where ``evaluate`` refuses, with
+    ``evaluate(reduce(a))``'s message.  A sum only ``_value`` answers
+    is checked against ``evaluate`` past the guard, when that is small.
+    Returns "both", "refused" or "value only"."""
+    try:
+        want = evaluate(a, guard)
+    except EvalGuardError as err:
+        try:
+            got = _value(a, guard)
+        except EvalGuardError as mine:
+            with pytest.raises(EvalGuardError) as residual:
+                evaluate(reduce(a), guard)
+            assert str(mine) == str(residual.value), (a, err)
+            return "refused"
+        if a.num_vars <= 16:
+            assert got[0] == evaluate(a, 16), a
+        return "value only"
+    assert _value(a, guard) == (want, len(normalize(a)[1])), a
+    return "both"
+
+
+class TestValue:
+    """``_value`` values sums of every signature, as ``evaluate`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_sums(), st.integers(0, 8))
+    def test_random_sums(self, a, guard):
+        value_outcome(a, guard)
+
+    def test_fuzz_sums_and_normal_forms(self):
+        rng = random.Random(26)
+        seen = {"both": 0, "refused": 0, "value only": 0}
+        for _ in range(300):
+            a = random_path_sum_from_circuit(rng)
+            for s in (a, normalize(a)[0]):
+                seen[value_outcome(s, rng.randint(0, 8))] += 1
+        # 277, 128 and 195 of the 600
+        assert min(seen.values()) >= 100, seen
 
 
 class TestRecoverShift:
