@@ -46,7 +46,7 @@ def _check_ints(values, what: str) -> None:
             raise ValueError(f"{what} {v!r} is not an int")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
     qubits: tuple[int, ...]
@@ -101,14 +101,16 @@ class Circuit:
                     )
 
 
-# object.__setattr__ as a frozen dataclass's own __init__ sets fields:
-# touching an instance's __dict__ would give each gate a dict of its own
+# a slotted Gate has no per-instance dict; its slot descriptors set its
+# fields past the frozen __setattr__, for less than object.__setattr__
+_set_kind, _set_qubits = Gate.kind.__set__, Gate.qubits.__set__
+
 
 def _gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     """``Gate(kind, qubits)`` without its checks, for values that pass them."""
     gate = object.__new__(Gate)
-    object.__setattr__(gate, "kind", kind)
-    object.__setattr__(gate, "qubits", qubits)
+    _set_kind(gate, kind)
+    _set_qubits(gate, qubits)
     return gate
 
 
@@ -144,10 +146,11 @@ def parse(text: str) -> Circuit:
     An integer is an optional '-' and ASCII digits (``_integer``).  A
     leading byte-order mark is skipped, as the CLI's reading drops it.
 
-    A line whose mnemonic and token count are in ``_MNEMONICS`` and whose
-    qubits are distinct and written "0" to "N-1" passes every check by
-    those lookups, so its ``Gate`` is built unchecked; any other line
-    takes the checks one by one, and its qubits are range-checked here.
+    A line whose mnemonic and token count are in ``_MNEMONICS`` has its
+    1, 2 or 3 qubit tokens looked up and compared by arity; if they are
+    distinct and written "0" to "N-1", its ``Gate`` is built unchecked.
+    Any other line (the header and those before it, upper case, "007",
+    a repeated qubit) takes the checks one by one, range-checked here.
     """
     if not isinstance(text, str):
         raise CircuitParseError("input is not text", 1)
@@ -157,6 +160,7 @@ def parse(text: str) -> Circuit:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     num_qubits: Optional[int] = None
     index: dict[str, int] = {}  # after the header, "0" to "N-1", by token
+    get = index.get  # None for a token that is not a qubit as serialize writes it
     gates: list[Gate] = []
     parsed: dict[str, Gate] = {}  # gate lines that validated, by their text
     try:
@@ -165,17 +169,25 @@ def parse(text: str) -> Circuit:
             if gate is not None:
                 gates.append(gate)
                 continue
-            tokens = raw.split("#", 1)[0].split()
+            tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
             if not tokens:
                 continue
-            kind = _MNEMONICS.get((tokens[0], len(tokens)))
+            arity = len(tokens) - 1
+            kind = _MNEMONICS.get((tokens[0], arity + 1))
             if kind is not None:
-                try:
-                    qubits = tuple([index[t] for t in tokens[1:]])
-                except KeyError:  # not a qubit as serialize writes it
-                    qubits = ()
-                if len(set(qubits)) == len(tokens) - 1:
-                    gate = _gate(kind, qubits)
+                a = get(tokens[1])
+                if arity == 1:
+                    qubits = (a,)
+                elif arity == 2:
+                    b = get(tokens[2])
+                    qubits = (a, b) if a != b else (None,)
+                else:
+                    b, c = get(tokens[2]), get(tokens[3])
+                    qubits = (a, b, c) if a != b != c != a else (None,)
+                if None not in qubits:
+                    gate = object.__new__(Gate)
+                    _set_kind(gate, kind)
+                    _set_qubits(gate, qubits)
                     gates.append(gate)
                     parsed[raw] = gate
                     continue
@@ -191,7 +203,7 @@ def parse(text: str) -> Circuit:
                 if num_qubits > MAX_QUBITS:
                     raise _LineError(f"{num_qubits} qubits exceed the maximum "
                                      f"of {MAX_QUBITS}")
-                index = {str(q): q for q in range(num_qubits)}
+                index.update({str(q): q for q in range(num_qubits)})
                 continue
             if head in _ALIASES:
                 want = _ALIASES[head]

@@ -31,7 +31,7 @@ class EvalGuardError(RuntimeError):
 
     Besides the size that tripped the guard, it names the structure it
     refused: w wire variables (in an output or input polynomial), r
-    phase-only variables, and the phase's degree and term count.
+    phase-only variables, and the phase's degree and terms, if any.
     """
 
     def __init__(self, num_vars: int, max_vars: int, wires: int = 0, *,
@@ -39,11 +39,13 @@ class EvalGuardError(RuntimeError):
                  phase_terms: int = 0):
         size = (f"{wires} wires (inputs plus outputs)" if wires
                 else f"{num_vars} summation variables")
+        shape = (f"degree {degree}, {phase_terms} phase terms" if phase_terms
+                 else "empty phase")  # the zero polynomial's degree is -1
         super().__init__(
             f"evaluation guard: {size} exceed the limit of {max_vars}; "
             f"dense evaluation would take 2^{wires or num_vars} steps; "
             f"refused sum: w = {wire_vars} wire variables, r = {phase_vars} "
-            f"phase-only variables, degree {degree}, {phase_terms} phase terms")
+            f"phase-only variables, {shape}")
         self.num_vars = num_vars
         self.max_vars = max_vars
         self.wires = wires
@@ -266,6 +268,9 @@ def evaluate(a: PathSum,
 # ---------------------------------------------------------------------------
 # gates and circuits
 
+_ONE = frozenset((0,))  # the constant 1 that X adds to a wire
+
+
 def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     """Direct per-wire interpretation (Amy, QPL 2018).
 
@@ -275,7 +280,8 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     SWAP exchanges two outputs.  The result has exactly n + #H variables
     and scalar 2^(-#H/2).  Outputs and phase are kept as plain sets of
     monomial masks, updated in place gate by gate, and become
-    polynomials once, at the end.
+    polynomials once, at the end.  An H's terms y*m are added to the
+    phase, not toggled: y is new, so no term of the phase holds it yet.
 
     Given a basis input ``in_bits`` (width n), wire q starts as the
     constant b_q instead, and the result is the state [circuit]|x>: #H
@@ -298,11 +304,13 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     for gate in circuit.gates:
         qs = gate.qubits
         if gate.kind == H:
-            phase ^= {(1 << k) | mm for mm in out[qs[0]]}
-            out[qs[0]] = {1 << k}
+            y = 1 << k
+            for mm in out[qs[0]]:
+                phase.add(y | mm)
+            out[qs[0]] = {y}
             k += 1
         elif gate.kind == X:
-            out[qs[0]] ^= {0}
+            out[qs[0]] ^= _ONE
         elif gate.kind == CMZ:
             prod = out[qs[0]]
             for q in qs[1:]:

@@ -1,6 +1,9 @@
 """Circuit IR, text format, and the hidden-shift generator."""
 
+import copy
+import dataclasses
 import inspect
+import pickle
 import random
 
 import pytest
@@ -50,6 +53,22 @@ class TestGate:
     def test_count_is_an_int(self):
         with pytest.raises(ValueError, match="qubit count 2.0 is not an int"):
             Circuit(2.0, ())
+
+    def test_pickle_and_deepcopy(self):
+        # a slotted frozen Gate is restored without its frozen __setattr__
+        gate = Gate("z", (2, 0, 1))
+        circuit = parse("qubits 3\nh 0\nccz 2 0 1\nswap 1 2\nh 0\n")
+        for value in (gate, circuit):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert twin == value and twin is not value
+                assert hash(twin) == hash(value)
+
+    def test_frozen_and_slotted(self):
+        gate = parse("qubits 2\nh 1\n").gates[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate.kind = "x"
+        assert not hasattr(gate, "__dict__")
+        assert not hasattr(Gate("h", (1,)), "__dict__")
 
 
 class TestParse:
@@ -286,6 +305,13 @@ class TestParseAgainstReference:
         "h 0\nqubits 1\n",
         "qubits 2\nqubits 2\n",
         "qubits 2\nh 0#\nh 0 #\nh  0\nh 0\n",
+        "qubits 3\nz 1 1 0\n",
+        "qubits 3\nz 0 2 2\n",
+        "qubits 3\ncz 2 2\n",
+        "qubits 3\nz 0 3\n",
+        "qubits 3\nz 3 0 1\n",
+        "qubits 3\nccz 0 1 3\n",
+        "z 0 1\nqubits 2\n",
     ])
     def test_fixed_cases(self, text):
         self.agree(text)
@@ -304,6 +330,18 @@ class TestUncheckedBuilders:
                   for n in (32, 16)]
         for text in texts:
             assert_checked_build(parse(text))
+
+    def test_canonical_lines_skip_the_constructor(self, monkeypatch):
+        # serialize's lines all take parse's lookup path; a line that fell
+        # through to the checks would build its Gate with Gate(...)
+        def refuse(gate):
+            raise AssertionError(f"checked build of {gate.kind} {gate.qubits}")
+
+        monkeypatch.setattr(Gate, "__post_init__", refuse)
+        text = serialize(random_circuit(16, 300, seed=9))
+        assert serialize(parse(text)) == text
+        with pytest.raises(AssertionError, match="checked build of z"):
+            parse("qubits 3\nz 0 007\n")
 
     def test_light_cone(self):
         for n, depth, seed in ((12, 200, 101), (16, 300, 9), (3, 20, 4)):

@@ -203,6 +203,18 @@ class TestEvaluate:
             "dense evaluation would take 2^4 steps; refused sum: w = 1 wire "
             "variables, r = 3 phase-only variables, degree 3, 3 phase terms")
 
+    def test_guard_names_an_empty_phase(self):
+        # refused for its 4 wires, not its 2 variables; the zero phase has
+        # degree -1, which the message does not print
+        with pytest.raises(EvalGuardError) as err:
+            evaluate(identity(2), max_vars=3)
+        e = err.value
+        assert (e.num_vars, e.wires, e.degree, e.phase_terms) == (2, 4, -1, 0)
+        assert str(e) == (
+            "evaluation guard: 4 wires (inputs plus outputs) exceed the limit "
+            "of 3; dense evaluation would take 2^4 steps; refused sum: w = 2 "
+            "wire variables, r = 0 phase-only variables, empty phase")
+
     def test_guard_default(self):
         assert DEFAULT_MAX_EVAL_VARS == 24
 
