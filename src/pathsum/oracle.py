@@ -67,7 +67,9 @@ def statevector_oracle(circuit: Circuit, bits, max_qubits: int = ORACLE_MAX_QUBI
         else:
             raise ValueError(f"unknown gate kind {gate.kind!r}")
 
-    return [Amplitude(v, half_exp) for v in nums]
+    # one shared Amplitude per distinct value: a state holds few of them
+    amps = {v: Amplitude(v, half_exp) for v in set(nums)}
+    return [amps[v] for v in nums]
 
 
 def marginal_one(amplitudes: list[Amplitude], n: int, qubit: int) -> Amplitude:

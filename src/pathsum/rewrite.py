@@ -31,7 +31,8 @@ and a memmove per edit, all in C.  Both strategies share the chooser
 and the step application.
 
 The loop keeps the input's variable numbering: a removed pivot leaves
-a gap, and the result is renumbered densely once, at the end.  The
+a gap, and the result is renumbered densely once, at the end, unless no
+variable is left, when every polynomial is a constant.  The
 trace ``normalize`` returns is a ``Trace``: a sequence of
 ``RewriteStep``s built on first read.  The loop records each step as a
 few ints in input indices (rank and pivot, and for HH the target and
@@ -187,6 +188,7 @@ class Trace(Sequence):
 # detection
 
 _RULES = (Rule.ELIM, Rule.Z, Rule.HH)  # indexed by rank
+_ZERO, _ONE = BoolPoly.zero(), BoolPoly.one()
 _ELIM_AT = (0, (), ())
 _Z_AT = (1, (), ())
 
@@ -342,7 +344,19 @@ AFFINE_TERM_GROWTH = 4
 
 def _run(a: PathSum, rng: Optional[random.Random], affine: bool
          ) -> tuple[PathSum, list[tuple]]:
-    """The indexed loop behind ``normalize`` and ``reduce``.
+    """The indexed loop behind ``normalize`` and ``reduce``: ``_run_masks``
+    on a copy of a's polynomials as mutable sets of monomial masks."""
+    return _run_masks(a.scalar, a.num_vars,
+                      [set(p.monomials) for p in (a.phase, *a.outputs, *a.inputs)],
+                      len(a.outputs), rng, affine)
+
+
+def _run_masks(scalar: Amplitude, k0: int, polys: list[set[int]], n_out: int,
+               rng: Optional[random.Random], affine: bool
+               ) -> tuple[PathSum, list[tuple]]:
+    """The one implementation of the indexed loop, on the sum of ``scalar``
+    and ``k0`` variables whose phase, n_out outputs and inputs are the mask
+    sets ``polys``, in that order, which it edits in place.
 
     Step i is drawn from ``rng``, or is 0 without one, and read off the
     sorted list of the applicable steps' keys.  Each edit of that list is
@@ -353,16 +367,14 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
     The loop keeps the input's variable numbering throughout: the raw
     steps it returns for ``Trace`` name input variables, and the result
     is renumbered once, at the end, onto the variables left, by
-    ``mask_renamed``.
+    ``mask_renamed``.  When none is left, every polynomial is the
+    constant 0 or 1 and nothing is renumbered.  ``sim._normal_state``
+    calls it on ``sums._interpret_masks``'s sets, so a state reaches its
+    normal form without an intermediate ``PathSum``.
     """
-    k0 = a.num_vars
-    if k0 == 0:
-        return a, []
     rule_at = _rule_at
-    polys = [set(p.monomials) for p in (a.phase, *a.outputs, *a.inputs)]
     phase = polys[0]
-    n_out = len(a.outputs)
-    n_in = len(a.inputs)
+    n_in = len(polys) - 1 - n_out
 
     # each variable's index keys monomial m of polys[p] as p << k0 | m,
     # naming both: pocc holds the phase's (p = 0, key m), oipos the wires'
@@ -485,11 +497,14 @@ def _run(a: PathSum, rng: Optional[random.Random], affine: bool
                 steps[j:j] = (key, key + 1)[:len(rule[1]) or 1]
 
     kept = list(compress(range(k0), alive))
-    bits = [0] * k0  # the j-th survivor becomes variable j of the result
-    for j, v in enumerate(kept):
-        bits[v] = 1 << j
-    out = [BoolPoly(frozenset(mask_renamed(poly, bits))) for poly in polys]
-    result = PathSum(a.scalar * Amplitude(1, 2 * elims), len(kept), out[0],
+    if kept:
+        bits = [0] * k0  # the j-th survivor becomes variable j of the result
+        for j, v in enumerate(kept):
+            bits[v] = 1 << j
+        out = [BoolPoly(frozenset(mask_renamed(poly, bits))) for poly in polys]
+    else:  # each polynomial is {} or {0}
+        out = [_ONE if poly else _ZERO for poly in polys]
+    result = PathSum(scalar * Amplitude(1, 2 * elims), len(kept), out[0],
                      tuple(out[1:1 + n_out]), tuple(out[1 + n_out:]))
     return result, trace[:rewrites]
 

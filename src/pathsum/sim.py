@@ -3,14 +3,16 @@
 Every driver interprets the circuit on its basis input, so the state
 sum [circuit]|in> has one variable per Hadamard and no input wires.
 Amplitude queries close it with <out| into the 0 -> 0 path sum
-<out| [circuit] |in>.  Measurement interprets only the measured qubit's
-light cone (``_light_cone``), the gates that do not commute with the
-conjugated projector, and closes the normalized state around the
-projector in one sandwich whose two copies share each wire that is a
-bare variable.  ``_value`` turns every sum into numbers, the CLI's
-confluence fallback's too: one pass to the normal form and on through
-affine elimination (``reduce``), then dense evaluation of the residual
-under a guard, since that is the only exponential step.
+<out| [circuit] |in>.  Measurement and shift recovery take the state
+from interpretation to its normal form without an intermediate
+``PathSum`` (``_normal_state``).  Measurement interprets only the
+measured qubit's light cone (``_light_cone``), the gates that do not
+commute with the conjugated projector, and closes the normalized state
+around the projector in one sandwich whose two copies share each wire
+that is a bare variable.  ``_value`` turns every sum into numbers, the
+CLI's confluence fallback's too: one pass to the normal form and on
+through affine elimination (``reduce``), then dense evaluation of the
+residual under a guard, since that is the only exponential step.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from dataclasses import dataclass
 from .boolpoly import BoolPoly, mask_renamed
 from .circuit import CMZ, H, SWAP, X, Circuit, _circuit
 from .exact import Amplitude
-from .rewrite import DETERMINISTIC_FIRST, _run, normalize, reduce
-from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _mediate, as_bits, bra,
-                   compose, evaluate, interpret)
+# normalize is not called here, but stays a module global: the
+# benchmark's tracer (perfbench/tracer.py) wraps every name it looks up here
+from .rewrite import _run, _run_masks, normalize, reduce  # noqa: F401
+from .sums import (DEFAULT_MAX_EVAL_VARS, PathSum, _interpret_masks, _mediate,
+                   as_bits, bra, compose, evaluate, interpret)
 
 
 class NonDeterministicOutcomeError(RuntimeError):
@@ -145,10 +149,29 @@ def _probability_one(gn: PathSum, qubit: int,
         steps = 0
     else:
         [[amp]], steps = _value(_sandwich_one(gn, qubit), max_eval_vars)
-    if amp.num < 0 or _ONE < amp:
+    return _checked(amp), steps
+
+
+def _checked(prob: Amplitude) -> Amplitude:
+    """The probability, if it lies in [0, 1]."""
+    if prob.num < 0 or _ONE < prob:
         raise SimulationConsistencyError(
-            f"probability {amp.render()} outside [0, 1]")
-    return amp, steps
+            f"probability {prob.render()} outside [0, 1]")
+    return prob
+
+
+def _normal_state(circuit: Circuit, in_bits) -> tuple[PathSum, int]:
+    """``normalize(interpret(circuit, in_bits))``'s normal form and its step
+    count, for a basis input.
+
+    The interpreter's mask sets (``_interpret_masks``) go straight into
+    the normalizer's loop (``_run_masks``), so no ``PathSum`` is built,
+    frozen and thawed on the way.  A circuit with no Hadamard gives a
+    state with no variables, and no steps.
+    """
+    k, phase, out, _ = _interpret_masks(circuit, in_bits)
+    nf, raw = _run_masks(Amplitude(1, -k), k, [phase, *out], len(out), None, False)
+    return nf, len(raw)
 
 
 def _light_cone(circuit: Circuit, qubit: int) -> Circuit:
@@ -229,8 +252,7 @@ def measure_sim(circuit: Circuit, in_bits, qubit: int,
     n = circuit.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    gn, _ = normalize(interpret(_light_cone(circuit, qubit), in_bits),
-                      DETERMINISTIC_FIRST)
+    gn, _ = _normal_state(_light_cone(circuit, qubit), in_bits)
     return _probability_one(gn, qubit, max_eval_vars)[0]
 
 
@@ -238,24 +260,43 @@ def recover_shift(circuit: Circuit,
                   max_eval_vars: int = DEFAULT_MAX_EVAL_VARS) -> ShiftResult:
     """Read off the hidden shift: bit i is 1 iff qubit i measures 1 surely.
 
-    The state sum [circuit]|0...0>, interpreted on that input with one
-    variable per Hadamard, is normalized once.  On a hidden-shift instance
-    it collapses to |s> with no variables left, after exactly #H steps, and
-    the shift is read off its outputs.  Otherwise it is read off the state
-    after affine elimination (``reduce``), if that leaves no variables, or
-    else off one projector sandwich of the normal form per qubit.
+    The state sum [circuit]|0...0>, one variable per Hadamard, goes from
+    interpretation to its normal form in one pass (``_normal_state``).
+    On a hidden-shift instance it collapses to |s> with no variables
+    left, after exactly #H steps, and the shift is read off its outputs.
+    Otherwise it is read off the state after affine elimination
+    (``reduce``), if that leaves no variables, or else off one projector
+    sandwich of the normal form per qubit (``_read_shift``).
     """
     n = circuit.num_qubits
-    gn, gtrace = normalize(interpret(circuit, (0,) * n), DETERMINISTIC_FIRST)
-    steps = len(gtrace)
-    reduced = reduce(gn)
-    if reduced.num_vars == 0:
-        gn = reduced
-    probs = []
-    for i in range(n):
-        prob, taken = _probability_one(gn, i, max_eval_vars)
-        if not (prob.is_one() or prob.is_zero()):
-            raise NonDeterministicOutcomeError(i, prob)
-        steps += taken
-        probs.append(prob)
+    gn, steps = _normal_state(circuit, (0,) * n)
+    if gn.num_vars:
+        reduced = reduce(gn)
+        if reduced.num_vars == 0:
+            gn = reduced
+    return _read_shift(gn, steps, max_eval_vars)
+
+
+def _read_shift(gn: PathSum, steps: int, max_eval_vars: int) -> ShiftResult:
+    """The shift in the normalized state gn, reached in ``steps`` steps.
+
+    A state with no variables is scalar*|b>: Pr[qubit i = 1] is
+    b_i * scalar^2, so scalar^2 is checked once, at the first qubit whose
+    wire is 1, the qubit that the per-qubit check would name.  A state that
+    keeps variables takes ``_probability_one`` per qubit, adding each
+    sandwich's steps.
+    """
+    if not gn.num_vars:
+        sq = gn.scalar * gn.scalar
+        probs = [sq if o.monomials else _ZERO for o in gn.outputs]
+        if sq in probs and not (_checked(sq).is_one() or sq.is_zero()):
+            raise NonDeterministicOutcomeError(probs.index(sq), sq)
+    else:
+        probs = []
+        for i in range(len(gn.outputs)):
+            prob, taken = _probability_one(gn, i, max_eval_vars)
+            if not (prob.is_one() or prob.is_zero()):
+                raise NonDeterministicOutcomeError(i, prob)
+            steps += taken
+            probs.append(prob)
     return ShiftResult(tuple(int(p.is_one()) for p in probs), tuple(probs), steps)

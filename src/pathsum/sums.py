@@ -278,16 +278,34 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     with phase term y*out[q] and makes y the wire's output; X adds 1 to
     out[q]; C^(m)Z adds the product of its wires' outputs to the phase;
     SWAP exchanges two outputs.  The result has exactly n + #H variables
-    and scalar 2^(-#H/2).  Outputs and phase are kept as plain sets of
-    monomial masks, updated in place gate by gate, and become
-    polynomials once, at the end.  An H's terms y*m are added to the
-    phase, not toggled: y is new, so no term of the phase holds it yet.
+    and scalar 2^(-#H/2).
 
     Given a basis input ``in_bits`` (width n), wire q starts as the
     constant b_q instead, and the result is the state [circuit]|x>: #H
     variables, no inputs, scalar 2^(-#H/2), equal in value to
     ``compose(interpret(circuit), ket(in_bits))`` without its n input
     variables and n mediators.
+
+    The work is done by ``_interpret_masks``; this wrapper freezes its
+    mask sets into polynomials.  ``sim._normal_state`` hands the same
+    sets to the normalizer instead, so a state goes from interpretation
+    to its normal form without a ``PathSum`` in between.
+    """
+    k, phase, out, inputs = _interpret_masks(circuit, in_bits)
+    return PathSum(Amplitude(1, len(inputs) - k), k, BoolPoly(frozenset(phase)),
+                   tuple(BoolPoly(frozenset(o)) for o in out), inputs)
+
+
+def _interpret_masks(circuit: Circuit, in_bits: Bits | None
+                     ) -> tuple[int, set[int], list[set[int]],
+                                tuple[BoolPoly, ...]]:
+    """``interpret``'s one implementation, as (k, phase, outputs, inputs):
+    the k variables, the phase and each output as a mutable set of
+    monomial masks, and the input polynomials.
+
+    The sets are updated in place gate by gate.  An H's terms y*m are
+    added to the phase, not toggled: y is new, so no term of the phase
+    holds it yet.
     """
     n = circuit.num_qubits
     if in_bits is None:
@@ -299,7 +317,7 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
             raise ValueError(f"input must have width {n}, got {len(bits)}")
         out = [{0} if b else set() for b in bits]
         inputs = ()
-    k0 = k = len(inputs)
+    k = len(inputs)
     phase: set[int] = set()
     for gate in circuit.gates:
         qs = gate.qubits
@@ -318,8 +336,7 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
             phase ^= prod
         else:  # SWAP
             out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
-    return PathSum(Amplitude(1, k0 - k), k, BoolPoly(frozenset(phase)),
-                   tuple(BoolPoly(frozenset(o)) for o in out), inputs)
+    return k, phase, out, inputs
 
 
 # ---------------------------------------------------------------------------

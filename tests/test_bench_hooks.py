@@ -29,8 +29,14 @@ def test_install_and_uninstall_restore_every_name():
             assert getattr(module, attr) is not original
         c = pathsum.hidden_shift_circuit(
             pathsum.HiddenShiftSpec(n=4, shift=(1, 0, 0, 1)))
-        assert pathsum.sim.recover_shift(c).shift == (1, 0, 0, 1)
-        assert tracer.spans
+        # the CLI's recover_shift is wrapped, and strong_sim looks up
+        # interpret, compose and evaluate in sim; recover_shift itself
+        # takes the state to its normal form through no wrapped name
+        assert pathsum.cli.recover_shift(c).shift == (1, 0, 0, 1)
+        assert pathsum.sim.strong_sim(c, "0000", "1001").is_one()
+        names = {span[0] for span in tracer.spans}
+        assert names == {"sim.recover_shift", "sums.interpret",
+                         "sums.compose", "sums.evaluate"}, names
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in modules] == before

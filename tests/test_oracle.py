@@ -7,6 +7,7 @@ import pytest
 from pathsum.circuit import Circuit, Gate, random_circuit
 from pathsum.exact import Amplitude
 from pathsum.oracle import marginal_one, statevector_oracle
+from pathsum.sums import evaluate, interpret
 
 
 class TestBasics:
@@ -62,6 +63,21 @@ class TestUnitarity:
             for a in vec:
                 norm = norm + a * a
             assert norm.is_one()
+
+
+class TestSharedValues:
+    def test_one_object_per_value_and_values_unchanged(self):
+        # each entry equals dense evaluation of the unnormalized state sum,
+        # and equal entries are one object
+        rng = random.Random(4)
+        for i in range(60):
+            n = rng.randint(1, 6)
+            c = random_circuit(n, rng.randint(0, 18),
+                               max_controls=min(2, n - 1), seed=i + 400)
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            vec = statevector_oracle(c, bits)
+            assert vec == [row[0] for row in evaluate(interpret(c, bits))], i
+            assert len({id(a) for a in vec}) == len(set(vec)), i
 
 
 class TestMarginal:

@@ -15,10 +15,11 @@ from pathsum.exact import Amplitude
 from pathsum.fuzz import random_path_sum_from_circuit
 from pathsum.oracle import marginal_one, statevector_oracle
 from pathsum.rewrite import find_rewrites, normalize, reduce, simply_equivalent
-from pathsum.sim import (NonDeterministicOutcomeError, _light_cone,
-                         _probability_one, _sandwich_one, _value,
-                         measure_sim, projector_one, recover_shift,
-                         strong_sim)
+from pathsum.sim import (NonDeterministicOutcomeError, ShiftResult,
+                         SimulationConsistencyError, _light_cone,
+                         _normal_state, _probability_one, _read_shift,
+                         _sandwich_one, _value, measure_sim, projector_one,
+                         recover_shift, strong_sim)
 from pathsum.sums import (DEFAULT_MAX_EVAL_VARS, EvalGuardError, PathSum,
                           adjoint, as_bits, bra, compose, evaluate, identity,
                           interpret, ket, tensor, to_json)
@@ -487,6 +488,129 @@ class TestValue:
                 seen[value_outcome(s, rng.randint(0, 8))] += 1
         # 277, 128 and 195 of the 600
         assert min(seen.values()) >= 100, seen
+
+
+class TestNormalState:
+    """``_normal_state`` against ``normalize(interpret(c, bits))``."""
+
+    @staticmethod
+    def assert_same(c, bits):
+        nf, steps = _normal_state(c, bits)
+        want, trace = normalize(interpret(c, bits))
+        assert (nf, steps) == (want, len(trace)), (c, bits)
+        if not nf.num_vars:  # constant wires, not renumbered copies
+            assert all(p is BoolPoly.zero() or p is BoolPoly.one()
+                       for p in (nf.phase, *nf.outputs)), nf
+        return nf
+
+    @settings(max_examples=300, deadline=None)
+    @given(circuits(max_qubits=6, max_gates=24), st.data())
+    def test_random_circuits(self, c, data):
+        n = c.num_qubits
+        bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+        self.assert_same(c, bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuits(max_qubits=6, max_gates=24), st.data())
+    def test_circuits_without_hadamard(self, c, data):
+        # k = 0: a basis state with no variables and no steps
+        c = Circuit(c.num_qubits, tuple(g for g in c.gates if g.kind != "h"))
+        n = c.num_qubits
+        bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+        nf = self.assert_same(c, bits)
+        assert nf.num_vars == 0 and nf.scalar.is_one()
+
+    def test_benchmark_pool_states(self):
+        kept = 0
+        for n, depth, (cseed, bits, _) in (
+                [(12, 200, q) for q in POOL12] + [(16, 300, q) for q in POOL16]):
+            c = random_circuit(n, depth, seed=cseed)
+            kept += self.assert_same(c, bits).num_vars > 0
+        assert kept == len(POOL12) + len(POOL16)
+
+    def test_hidden_shift_states_and_input_width(self):
+        rng = random.Random(290)
+        for n in (2, 8, 32):
+            c = hidden_shift_circuit(random_hidden_shift_spec(n, rng))
+            assert self.assert_same(c, (0,) * n).num_vars == 0
+        with pytest.raises(ValueError, match="width 4"):
+            _normal_state(Circuit(4, ()), "000")
+
+
+def per_qubit_readout(gn, steps, guard=DEFAULT_MAX_EVAL_VARS):
+    """``_read_shift`` as one ``_probability_one`` call per qubit, on
+    every state, with or without variables."""
+    probs = []
+    for i in range(len(gn.outputs)):
+        prob, taken = _probability_one(gn, i, guard)
+        if not (prob.is_one() or prob.is_zero()):
+            raise NonDeterministicOutcomeError(i, prob)
+        steps += taken
+        probs.append(prob)
+    return ShiftResult(tuple(int(p.is_one()) for p in probs), tuple(probs), steps)
+
+
+def per_qubit_shift(c, guard=DEFAULT_MAX_EVAL_VARS):
+    """``recover_shift`` through ``normalize(interpret(...))`` and the
+    per-qubit readout."""
+    n = c.num_qubits
+    gn, trace = normalize(interpret(c, (0,) * n))
+    reduced = reduce(gn)
+    if reduced.num_vars == 0:
+        gn = reduced
+    return per_qubit_readout(gn, len(trace), guard)
+
+
+def readout_outcome(read, gn, steps):
+    """The ``ShiftResult``, or the error's type, message and fields."""
+    try:
+        return read(gn, steps, DEFAULT_MAX_EVAL_VARS)
+    except (NonDeterministicOutcomeError, SimulationConsistencyError) as exc:
+        return (type(exc), str(exc), getattr(exc, "qubit", None),
+                getattr(exc, "probability", None))
+
+
+class TestOnePassReadout:
+    """A state with no variables is read in one pass, as the per-qubit
+    loop reads it."""
+
+    def test_random_hidden_shift_instances(self):
+        rng = random.Random(291)
+        for n in range(2, 65, 2):
+            c = hidden_shift_circuit(random_hidden_shift_spec(n, rng))
+            res = recover_shift(c)
+            assert res == per_qubit_shift(c), n
+            assert res.rewrite_steps_total == sum(g.kind == "h" for g in c.gates)
+
+    def test_nonlinear_pi_instances_that_collapse_under_reduce(self):
+        rng = random.Random(5)
+        for n in (8, 12, 16, 32, 64):
+            network = random_network(rng, n // 2, n // 2)
+            shift = tuple(rng.randrange(2) for _ in range(n))
+            c = nonlinear_shift_circuit(n, shift, network, [(0,)])
+            res = recover_shift(c)
+            assert res.shift == shift
+            assert res == per_qubit_shift(c), n
+
+    def test_checks_and_their_qubit_order(self):
+        # hand-made states scalar*|b>, some with scalar^2 outside [0, 1] or
+        # strictly inside it: the same result, or the same error naming the
+        # same qubit and probability
+        errors = 0
+        for width in range(5):
+            for b in range(1 << width):
+                outs = tuple(BoolPoly.constant(b >> (width - 1 - q) & 1)
+                             for q in range(width))
+                for scalar in [Amplitude(0)] + [Amplitude(1, e)
+                                                for e in range(-3, 4)]:
+                    for phase in (BoolPoly.zero(), BoolPoly.one()):
+                        gn = PathSum(scalar, 0, phase, outs, ())
+                        got = readout_outcome(_read_shift, gn, 7)
+                        assert got == readout_outcome(per_qubit_readout, gn, 7)
+                        errors += isinstance(got, tuple)
+        assert errors == 2 * 6 * sum((1 << w) - 1 for w in range(5))
 
 
 class TestRecoverShift:
