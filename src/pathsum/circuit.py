@@ -24,8 +24,8 @@ _KINDS = (H, X, CMZ, SWAP)
 #: largest number of controls on a C^(m)Z that ``parse`` accepts (CCZ)
 DEFAULT_MAX_CONTROLS = 2
 
-#: largest ``qubits N`` header ``parse`` accepts; interpretation allocates
-#: a polynomial per wire, so the header alone must not size the work
+#: largest ``Circuit`` and ``qubits N`` header; interpretation allocates
+#: a polynomial per wire, so a count alone must not size the work
 MAX_QUBITS = 4096
 
 
@@ -90,6 +90,9 @@ class Circuit:
         _check_ints((self.num_qubits,), "qubit count")
         if self.num_qubits < 0:
             raise ValueError("negative qubit count")
+        if self.num_qubits > MAX_QUBITS:  # parse would refuse the circuit
+            raise ValueError(
+                f"{self.num_qubits} qubits exceed the maximum of {MAX_QUBITS}")
         for g in self.gates:
             if not isinstance(g, Gate):
                 raise ValueError(f"{g!r} is not a Gate")

@@ -63,7 +63,7 @@ from .boolpoly import BoolPoly, mask_bits, mask_renamed
 from .exact import Amplitude
 from .sums import PathSum, zero_op
 
-#: ``simply_equivalent``'s default variable cap, and the CLI's largest
+#: ``simply_equivalent``'s variable cap, and the largest ``--max-vars``
 _EQUIVALENCE_CAP = 8
 
 
@@ -369,8 +369,8 @@ def _run_masks(scalar: Amplitude, k0: int, polys: list[set[int]], n_out: int,
     is renumbered once, at the end, onto the variables left, by
     ``mask_renamed``.  When none is left, every polynomial is the
     constant 0 or 1 and nothing is renumbered.  ``sim._normal_state``
-    calls it on ``sums._interpret_masks``'s sets, so a state reaches its
-    normal form without an intermediate ``PathSum``.
+    calls it on ``sums._interpret_masks``'s output as it stands, so a
+    state reaches its normal form without an intermediate ``PathSum``.
     """
     rule_at = _rule_at
     phase = polys[0]
@@ -535,15 +535,15 @@ def _profiles(a: PathSum) -> list[tuple]:
     return profs
 
 
-def simply_equivalent(a: PathSum, b: PathSum, var_cap: int = _EQUIVALENCE_CAP) -> bool:
+def simply_equivalent(a: PathSum, b: PathSum) -> bool:
     """Decide whether some variable bijection-with-negations maps a to b.
 
     Backtracking over variable images, pruned by per-variable cofactor
     profiles; exponential in the worst case, intended for small sums.
     """
-    if a.num_vars > var_cap or b.num_vars > var_cap:
-        raise VarCapError(
-            f"{max(a.num_vars, b.num_vars)} variables exceed the cap {var_cap}")
+    if a.num_vars > _EQUIVALENCE_CAP or b.num_vars > _EQUIVALENCE_CAP:
+        raise VarCapError(f"{max(a.num_vars, b.num_vars)} variables exceed "
+                          f"the cap {_EQUIVALENCE_CAP}")
     if a.scalar != b.scalar or a.signature != b.signature:
         return False
     if a.num_vars != b.num_vars:

@@ -5,14 +5,15 @@ sum [circuit]|in> has one variable per Hadamard and no input wires.
 Amplitude queries close it with <out| into the 0 -> 0 path sum
 <out| [circuit] |in>.  Measurement and shift recovery take the state
 from interpretation to its normal form without an intermediate
-``PathSum`` (``_normal_state``).  Measurement interprets only the
-measured qubit's light cone (``_light_cone``), the gates that do not
-commute with the conjugated projector, and closes the normalized state
-around the projector in one sandwich whose two copies share each wire
-that is a bare variable.  ``_value`` turns every sum into numbers, the
-CLI's confluence fallback's too: one pass to the normal form and on
-through affine elimination (``reduce``), then dense evaluation of the
-residual under a guard, since that is the only exponential step.
+``PathSum`` (``_normal_state``); shift recovery returns the shift and
+the step count alone.  Measurement interprets only the measured qubit's
+light cone (``_light_cone``), the gates that do not commute with the
+conjugated projector, and closes the normalized state around the
+projector in one sandwich whose two copies share each wire that is a
+bare variable.  ``_value`` turns every sum into numbers, the CLI's
+confluence fallback's too: one pass to the normal form and on through
+affine elimination (``reduce``), then dense evaluation of the residual
+under a guard, since that is the only exponential step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolpoly import BoolPoly, mask_renamed
-from .circuit import CMZ, H, SWAP, X, Circuit, _circuit
+from .circuit import CMZ, H, SWAP, X, Circuit, _check_ints, _circuit
 from .exact import Amplitude
 # normalize is not called here, but stays a module global: the
 # benchmark's tracer (perfbench/tracer.py) wraps every name it looks up here
@@ -48,8 +49,9 @@ class SimulationConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShiftResult:
+    """The shift (bit i: qubit i measures 1 surely) and the steps taken."""
+
     shift: tuple[int, ...]
-    per_qubit_probability: tuple[Amplitude, ...]
     rewrite_steps_total: int
 
     def shift_string(self) -> str:
@@ -164,13 +166,12 @@ def _normal_state(circuit: Circuit, in_bits) -> tuple[PathSum, int]:
     """``normalize(interpret(circuit, in_bits))``'s normal form and its step
     count, for a basis input.
 
-    The interpreter's mask sets (``_interpret_masks``) go straight into
-    the normalizer's loop (``_run_masks``), so no ``PathSum`` is built,
+    The interpreter's output (``_interpret_masks``) is the normalizer's
+    input (``_run_masks``) as it stands, so no ``PathSum`` is built,
     frozen and thawed on the way.  A circuit with no Hadamard gives a
     state with no variables, and no steps.
     """
-    k, phase, out, _ = _interpret_masks(circuit, in_bits)
-    nf, raw = _run_masks(Amplitude(1, -k), k, [phase, *out], len(out), None, False)
+    nf, raw = _run_masks(*_interpret_masks(circuit, in_bits), None, False)
     return nf, len(raw)
 
 
@@ -250,6 +251,7 @@ def measure_sim(circuit: Circuit, in_bits, qubit: int,
     elimination, as in ``strong_sim``.
     """
     n = circuit.num_qubits
+    _check_ints((qubit,), "qubit index")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     gn, _ = _normal_state(_light_cone(circuit, qubit), in_bits)
@@ -263,13 +265,12 @@ def recover_shift(circuit: Circuit,
     The state sum [circuit]|0...0>, one variable per Hadamard, goes from
     interpretation to its normal form in one pass (``_normal_state``).
     On a hidden-shift instance it collapses to |s> with no variables
-    left, after exactly #H steps, and the shift is read off its outputs.
+    left, after exactly #H steps, and the shift is its constant wires.
     Otherwise it is read off the state after affine elimination
     (``reduce``), if that leaves no variables, or else off one projector
     sandwich of the normal form per qubit (``_read_shift``).
     """
-    n = circuit.num_qubits
-    gn, steps = _normal_state(circuit, (0,) * n)
+    gn, steps = _normal_state(circuit, (0,) * circuit.num_qubits)
     if gn.num_vars:
         reduced = reduce(gn)
         if reduced.num_vars == 0:
@@ -281,22 +282,21 @@ def _read_shift(gn: PathSum, steps: int, max_eval_vars: int) -> ShiftResult:
     """The shift in the normalized state gn, reached in ``steps`` steps.
 
     A state with no variables is scalar*|b>: Pr[qubit i = 1] is
-    b_i * scalar^2, so scalar^2 is checked once, at the first qubit whose
-    wire is 1, the qubit that the per-qubit check would name.  A state that
-    keeps variables takes ``_probability_one`` per qubit, adding each
-    sandwich's steps.
+    b_i * scalar^2: the shift is b (all 0 if the scalar is), and scalar^2
+    is checked once, at the first qubit whose wire is 1, the qubit that
+    the per-qubit check would name.  A state that keeps variables takes
+    ``_probability_one`` per qubit, adding each sandwich's steps.
     """
-    if not gn.num_vars:
-        sq = gn.scalar * gn.scalar
-        probs = [sq if o.monomials else _ZERO for o in gn.outputs]
-        if sq in probs and not (_checked(sq).is_one() or sq.is_zero()):
-            raise NonDeterministicOutcomeError(probs.index(sq), sq)
+    if not gn.num_vars:  # each output is the constant 0 or 1
+        bits = [1 if o.monomials and gn.scalar else 0 for o in gn.outputs]
+        if 1 in bits and not (sq := _checked(gn.scalar * gn.scalar)).is_one():
+            raise NonDeterministicOutcomeError(bits.index(1), sq)
     else:
-        probs = []
+        bits = []
         for i in range(len(gn.outputs)):
             prob, taken = _probability_one(gn, i, max_eval_vars)
             if not (prob.is_one() or prob.is_zero()):
                 raise NonDeterministicOutcomeError(i, prob)
             steps += taken
-            probs.append(prob)
-    return ShiftResult(tuple(int(p.is_one()) for p in probs), tuple(probs), steps)
+            bits.append(int(prob.is_one()))
+    return ShiftResult(tuple(bits), steps)

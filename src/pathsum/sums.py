@@ -286,22 +286,22 @@ def interpret(circuit: Circuit, in_bits: Bits | None = None) -> PathSum:
     ``compose(interpret(circuit), ket(in_bits))`` without its n input
     variables and n mediators.
 
-    The work is done by ``_interpret_masks``; this wrapper freezes its
-    mask sets into polynomials.  ``sim._normal_state`` hands the same
-    sets to the normalizer instead, so a state goes from interpretation
-    to its normal form without a ``PathSum`` in between.
+    The work is done by ``_interpret_masks``; this wrapper only freezes
+    its mask sets.  ``sim._normal_state`` hands the same tuple to the
+    normalizer (``rewrite._run_masks``) instead, so a state goes from
+    interpretation to its normal form without a ``PathSum`` in between.
     """
-    k, phase, out, inputs = _interpret_masks(circuit, in_bits)
-    return PathSum(Amplitude(1, len(inputs) - k), k, BoolPoly(frozenset(phase)),
-                   tuple(BoolPoly(frozenset(o)) for o in out), inputs)
+    scalar, k, polys, n_out = _interpret_masks(circuit, in_bits)
+    phase, *wires = [BoolPoly(frozenset(p)) for p in polys]
+    return PathSum(scalar, k, phase, tuple(wires[:n_out]), tuple(wires[n_out:]))
 
 
 def _interpret_masks(circuit: Circuit, in_bits: Bits | None
-                     ) -> tuple[int, set[int], list[set[int]],
-                                tuple[BoolPoly, ...]]:
-    """``interpret``'s one implementation, as (k, phase, outputs, inputs):
-    the k variables, the phase and each output as a mutable set of
-    monomial masks, and the input polynomials.
+                     ) -> tuple[Amplitude, int, list[set[int]], int]:
+    """``interpret``'s one implementation, as ``rewrite._run_masks``'s
+    input (scalar, k, polys, n_out): the scalar 2^(-#H/2), the k
+    variables, and the phase, the n_out outputs and then the inputs, each
+    a mutable set of monomial masks.
 
     The sets are updated in place gate by gate.  An H's terms y*m are
     added to the phase, not toggled: y is new, so no term of the phase
@@ -310,13 +310,13 @@ def _interpret_masks(circuit: Circuit, in_bits: Bits | None
     n = circuit.num_qubits
     if in_bits is None:
         out = [{1 << q} for q in range(n)]
-        inputs = tuple(BoolPoly.var(q) for q in range(n))
+        inputs = [{1 << q} for q in range(n)]
     else:
         bits = as_bits(in_bits)
         if len(bits) != n:
             raise ValueError(f"input must have width {n}, got {len(bits)}")
         out = [{0} if b else set() for b in bits]
-        inputs = ()
+        inputs = []
     k = len(inputs)
     phase: set[int] = set()
     for gate in circuit.gates:
@@ -336,7 +336,7 @@ def _interpret_masks(circuit: Circuit, in_bits: Bits | None
             phase ^= prod
         else:  # SWAP
             out[qs[0]], out[qs[1]] = out[qs[1]], out[qs[0]]
-    return k, phase, out, inputs
+    return Amplitude(1, len(inputs) - k), k, [phase, *out, *inputs], n
 
 
 # ---------------------------------------------------------------------------

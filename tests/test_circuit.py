@@ -54,6 +54,14 @@ class TestGate:
         with pytest.raises(ValueError, match="qubit count 2.0 is not an int"):
             Circuit(2.0, ())
 
+    def test_count_cap(self):
+        # the count parse, random_circuit and HiddenShiftSpec refuse
+        c = Circuit(MAX_QUBITS, (Gate("h", (MAX_QUBITS - 1,)),))
+        assert c.num_qubits == MAX_QUBITS
+        with pytest.raises(ValueError, match=f"{MAX_QUBITS + 1} qubits exceed "
+                           f"the maximum of {MAX_QUBITS}"):
+            Circuit(MAX_QUBITS + 1, ())
+
     def test_pickle_and_deepcopy(self):
         # a slotted frozen Gate is restored without its frozen __setattr__
         gate = Gate("z", (2, 0, 1))

@@ -6,6 +6,7 @@ normal forms under different strategies must agree up to a variable
 bijection with negations.
 """
 
+import inspect
 import random
 from collections import Counter
 from itertools import chain, combinations
@@ -19,11 +20,11 @@ from pathsum.boolpoly import BoolPoly, mask_bits
 from pathsum.circuit import Gate, random_circuit
 from pathsum.exact import Amplitude
 from pathsum.fuzz import random_path_sum_from_circuit
-from pathsum.rewrite import (AFFINE_TERM_GROWTH, DETERMINISTIC_FIRST,
-                             RewriteStep, Rule, StaleStepError, Strategy,
-                             VarCapError, _rule_at, apply, find_rewrites,
-                             normalize, reduce, seeded_random,
-                             simply_equivalent)
+from pathsum.rewrite import (_EQUIVALENCE_CAP, AFFINE_TERM_GROWTH,
+                             DETERMINISTIC_FIRST, RewriteStep, Rule,
+                             StaleStepError, Strategy, VarCapError, _rule_at,
+                             apply, find_rewrites, normalize, reduce,
+                             seeded_random, simply_equivalent)
 from pathsum.sums import (EvalGuardError, PathSum, compose, evaluate,
                           identity, interpret, ket, tensor, to_json, zero_op)
 from support import (affine_rule_at, apply_simple_transform, gate_sem,
@@ -604,9 +605,12 @@ class TestSimplyEquivalent:
         assert not simply_equivalent(a, b)
 
     def test_var_cap(self):
-        a = identity(9)
-        with pytest.raises(VarCapError):
-            simply_equivalent(a, a, var_cap=8)
+        # one cap, with no parameter to lift it
+        assert _EQUIVALENCE_CAP == 8
+        assert list(inspect.signature(simply_equivalent).parameters) == ["a", "b"]
+        a = identity(_EQUIVALENCE_CAP + 1)
+        with pytest.raises(VarCapError, match="9 variables exceed the cap 8"):
+            simply_equivalent(a, a)
 
     def test_equivalence_is_sound_for_eval(self):
         rng = random.Random(74)
@@ -632,7 +636,7 @@ class TestConfluence:
             det, _ = normalize(a)
             for s in range(3):
                 rnd, _ = normalize(a, seeded_random(trial * 7 + s))
-                assert simply_equivalent(det, rnd, var_cap=8), (a, det, rnd)
+                assert simply_equivalent(det, rnd), (a, det, rnd)
 
     def test_circuit_derived_sums_agree(self):
         rng = random.Random(76)
@@ -686,7 +690,7 @@ class TestConfluence:
             b = apply_simple_transform(a, phi)
             nfa, _ = normalize(a)
             nfb, _ = normalize(b)
-            assert simply_equivalent(nfa, nfb, var_cap=8)
+            assert simply_equivalent(nfa, nfb)
 
 
 def interpret_double_h():
